@@ -7,7 +7,7 @@ use std::path::Path;
 use ccs_sched::SchedulerSpec;
 use ccs_sim::SimResult;
 
-use crate::json::{self, Json, JsonError};
+use crate::json::{self, Json, JsonError, ObjectWriter, Reader, Value, ValueWriter};
 
 /// One measured point: a workload simulated on one configuration under one
 /// scheduler.
@@ -157,10 +157,44 @@ impl RunRecord {
         }
     }
 
-    /// The record as a JSON value — the element shape of
-    /// [`Report::to_json`]'s `records` array.  `compile_ms` is excluded
-    /// (see the type docs), so serialisation is deterministic per
-    /// simulated point.
+    /// Write the record's members into `object` — the one field list of
+    /// every record encoding: [`Report::to_json`]'s `records` elements, the
+    /// `ccs-serve` `result` frame and the result store entry.
+    /// `compile_ms` and `batch_width` are excluded (see the type docs), so
+    /// serialisation is deterministic per simulated point.
+    pub fn write_json(&self, object: &mut ObjectWriter<'_>) {
+        object.key("workload").str(&self.workload);
+        object.key("config").str(&self.config);
+        object.key("cores").u64(self.cores as u64);
+        object.key("clusters").u64(self.clusters as u64);
+        object.key("scheduler").str(&self.scheduler);
+        object.key("seed").opt_u64(self.seed);
+        object.key("cycles").u64(self.cycles);
+        object.key("instructions").u64(self.instructions);
+        object.key("tasks").u64(self.tasks as u64);
+        object.key("l1_accesses").u64(self.l1_accesses);
+        object.key("l1_misses").u64(self.l1_misses);
+        object.key("l2_accesses").u64(self.l2_accesses);
+        object.key("l2_misses").u64(self.l2_misses);
+        object.key("l2_mpki").f64(self.l2_mpki);
+        object.key("l3_accesses").u64(self.l3_accesses);
+        object.key("l3_misses").u64(self.l3_misses);
+        object
+            .key("bandwidth_utilization")
+            .f64(self.bandwidth_utilization);
+        object.key("off_chip_bytes").u64(self.off_chip_bytes);
+        object.key("trace_bytes").u64(self.trace_bytes);
+        object
+            .key("peak_alloc_estimate")
+            .u64(self.peak_alloc_estimate);
+        object
+            .key("speedup_over_seq")
+            .opt_f64(self.speedup_over_seq);
+    }
+
+    /// The record as a [`Json`] tree, member for member what
+    /// [`RunRecord::write_json`] writes.  The encoders do not build it; it
+    /// stays as the reference rendering they are tested against.
     pub fn to_json(&self) -> Json {
         Json::object([
             ("workload", self.workload.as_str().into()),
@@ -187,7 +221,105 @@ impl RunRecord {
         ])
     }
 
-    /// Parse a record back from [`RunRecord::to_json`] output
+    /// The record as one compact JSON line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        let mut line = String::with_capacity(512);
+        ValueWriter::compact(&mut line).object(|object| self.write_json(object));
+        line
+    }
+
+    /// Decode a record from one JSON object's text — the streaming twin
+    /// of [`RunRecord::from_json`] (see [`RunRecord::read_json`]).
+    pub fn parse_json(text: &str) -> Result<RunRecord, JsonError> {
+        let mut reader = Reader::new(text);
+        let record = RunRecord::read_json(&mut reader)?;
+        reader.finish()?;
+        record
+    }
+
+    /// Decode the record at `reader`'s cursor in a single pass, with the
+    /// rules of [`RunRecord::from_json`]: unknown members are ignored, the
+    /// first of duplicate keys wins, a non-object has no fields, and
+    /// `compile_ms` / `batch_width` come back zero.  The outer error is
+    /// malformed JSON; the inner one a well-formed value that is not a
+    /// record — kept apart so a caller can finish validating the rest of
+    /// its document first.
+    pub fn read_json(reader: &mut Reader<'_>) -> Result<Result<RunRecord, JsonError>, JsonError> {
+        let fields = reader.object_fields(&[
+            "workload",
+            "config",
+            "cores",
+            "clusters",
+            "scheduler",
+            "seed",
+            "cycles",
+            "instructions",
+            "tasks",
+            "l1_accesses",
+            "l1_misses",
+            "l2_accesses",
+            "l2_misses",
+            "l2_mpki",
+            "l3_accesses",
+            "l3_misses",
+            "bandwidth_utilization",
+            "off_chip_bytes",
+            "trace_bytes",
+            "peak_alloc_estimate",
+            "speedup_over_seq",
+        ])?;
+        Ok(RunRecord::from_fields(fields))
+    }
+
+    /// Build a record from [`RunRecord::read_json`]'s member slots.
+    fn from_fields(fields: [Option<Value<'_>>; 21]) -> Result<RunRecord, JsonError> {
+        let [workload, config, cores, clusters, scheduler, seed, cycles, instructions, tasks, l1_accesses, l1_misses, l2_accesses, l2_misses, l2_mpki, l3_accesses, l3_misses, bandwidth_utilization, off_chip_bytes, trace_bytes, peak_alloc_estimate, speedup_over_seq] =
+            fields;
+        let string = |value: Option<Value<'_>>, key| {
+            value
+                .and_then(Value::into_string)
+                .ok_or_else(|| field_error(key, "string"))
+        };
+        let u64_field = |value: Option<Value<'_>>, key| {
+            value
+                .as_ref()
+                .and_then(Value::as_u64)
+                .ok_or_else(|| field_error(key, "u64"))
+        };
+        let f64_field = |value: Option<Value<'_>>, key| {
+            value
+                .as_ref()
+                .and_then(Value::as_f64)
+                .ok_or_else(|| field_error(key, "number"))
+        };
+        Ok(RunRecord {
+            workload: string(workload, "workload")?,
+            config: string(config, "config")?,
+            cores: u64_field(cores, "cores")? as usize,
+            clusters: u64_field(clusters, "clusters")? as usize,
+            scheduler: string(scheduler, "scheduler")?,
+            seed: seed.as_ref().and_then(Value::as_u64),
+            cycles: u64_field(cycles, "cycles")?,
+            instructions: u64_field(instructions, "instructions")?,
+            tasks: u64_field(tasks, "tasks")? as usize,
+            l1_accesses: u64_field(l1_accesses, "l1_accesses")?,
+            l1_misses: u64_field(l1_misses, "l1_misses")?,
+            l2_accesses: u64_field(l2_accesses, "l2_accesses")?,
+            l2_misses: u64_field(l2_misses, "l2_misses")?,
+            l2_mpki: f64_field(l2_mpki, "l2_mpki")?,
+            l3_accesses: u64_field(l3_accesses, "l3_accesses")?,
+            l3_misses: u64_field(l3_misses, "l3_misses")?,
+            bandwidth_utilization: f64_field(bandwidth_utilization, "bandwidth_utilization")?,
+            off_chip_bytes: u64_field(off_chip_bytes, "off_chip_bytes")?,
+            trace_bytes: u64_field(trace_bytes, "trace_bytes")?,
+            peak_alloc_estimate: u64_field(peak_alloc_estimate, "peak_alloc_estimate")?,
+            compile_ms: 0.0,
+            batch_width: 0,
+            speedup_over_seq: speedup_over_seq.as_ref().and_then(Value::as_f64),
+        })
+    }
+
+    /// Parse a record back from a [`Json`] tree
     /// (`to_json(from_json(v)) == v` — the round-trip is lossless for every
     /// serialised field; `compile_ms` comes back as 0.0).
     pub fn from_json(value: &Json) -> Result<RunRecord, JsonError> {
@@ -360,15 +492,18 @@ impl Report {
 
     /// Serialise to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        Json::object([
-            ("name", self.name.as_str().into()),
-            ("scale", self.scale.into()),
-            (
-                "records",
-                Json::Array(self.records.iter().map(RunRecord::to_json).collect()),
-            ),
-        ])
-        .to_string_pretty()
+        let mut out = String::with_capacity(64 + 800 * self.records.len());
+        ValueWriter::pretty(&mut out, 0).object(|doc| {
+            doc.key("name").str(&self.name);
+            doc.key("scale").u64(self.scale);
+            doc.key("records").array(|records| {
+                for record in &self.records {
+                    records.item().object(|object| record.write_json(object));
+                }
+            });
+        });
+        out.push('\n');
+        out
     }
 
     /// Parse a report back from [`Report::to_json`] output.
@@ -524,6 +659,52 @@ mod tests {
 
         let parsed = Report::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn streaming_codec_matches_the_tree() {
+        let mut report = Report::new("fig\"2", 32);
+        report.records.push(sample_record("pdf", None));
+        let mut odd = sample_record("ws-rand", Some(u64::MAX));
+        odd.workload = "heat:rows=64\tcols=\u{7}→".into();
+        odd.speedup_over_seq = Some(f64::INFINITY);
+        report.records.push(odd);
+        let tree = Json::object([
+            ("name", report.name.as_str().into()),
+            ("scale", report.scale.into()),
+            (
+                "records",
+                Json::Array(report.records.iter().map(RunRecord::to_json).collect()),
+            ),
+        ]);
+        assert_eq!(report.to_json(), tree.to_string_pretty());
+        assert_eq!(
+            Report::new("empty", 1).to_json(),
+            "{\n  \"name\": \"empty\",\n  \"scale\": 1,\n  \"records\": []\n}\n"
+        );
+        for record in &report.records {
+            let line = record.to_json_line();
+            assert_eq!(line, record.to_json().to_string_compact());
+            assert_eq!(
+                RunRecord::parse_json(&line),
+                RunRecord::from_json(&json::parse(&line).unwrap())
+            );
+        }
+        // The streaming decoder reads what the tree decoder reads: key
+        // order, whitespace, escaped keys and unknown members are free.
+        let shuffled = r#" { "speedup_over_seq" : null, "future": {"x": [1, 2]},
+            "peak_alloc_estimate": 96000, "trace_bytes": 48000, "off_chip_bytes": 960000,
+            "bandwidth_utilization": 0.25, "l3_misses": 0, "l3_accesses": 0, "l2_mpki": 7.593,
+            "l2_misses": 7500, "l2_accesses": 50000, "l1_misses": 50000, "l1_accesses": 1000000,
+            "tasks": 321, "instructions": 987654, "cycles": 123456789, "seed": 7,
+            "sched\u0075ler": "ws-rand", "clusters": 1, "cores": 8, "config": "default-8/64",
+            "workload": "mergesort" } "#;
+        let mut expected = sample_record("ws-rand", Some(7));
+        expected.speedup_over_seq = None;
+        assert_eq!(RunRecord::parse_json(shuffled).unwrap(), expected);
+        for bad in ["{}", "[]", "null", r#"{"workload": 1}"#, "{\"workload\""] {
+            assert!(RunRecord::parse_json(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! Every record is a deterministic function of its canonical key
 //! ([`crate::canon::record_key`]), and record JSON serialisation is
-//! lossless for all serialised fields ([`RunRecord::to_json`] /
-//! [`RunRecord::from_json`]; the wall-clock `compile_ms` annotation is
+//! lossless for all serialised fields ([`RunRecord::write_json`] /
+//! [`RunRecord::parse_json`]; the wall-clock `compile_ms` annotation is
 //! excluded from JSON *and* equality by design).  A stored record therefore
 //! reserialises to exactly the bytes a cold run would produce — the
 //! property the daemon's `cmp`-based CI smoke and e2e tests pin.
@@ -59,7 +59,7 @@ use std::sync::Mutex;
 use ccs_runtime::fault::{self, FaultKind};
 
 use crate::canon::{fnv1a64, key_hash_hex};
-use crate::json::{self, Json};
+use crate::json::{Reader, Value, ValueWriter};
 use crate::RunRecord;
 
 /// Version tag of the file format (the `"ccs-store"` field).  Version 2
@@ -196,14 +196,7 @@ impl ResultStore {
         if let Some(err) = fault::injected_io_error(FaultKind::StoreIo) {
             return Err(err);
         }
-        let record_json = record.to_json();
-        let doc = Json::object([
-            ("ccs-store", STORE_VERSION.into()),
-            ("key", key.into()),
-            ("sum", entry_checksum(key, &record_json).into()),
-            ("record", record_json),
-        ]);
-        let text = doc.to_string_pretty();
+        let text = entry_text(key, record);
         let path = self.entry_path(key);
         if fault::should_inject(FaultKind::TornWrite) {
             // Simulate a writer that died mid-write *without* the
@@ -341,42 +334,68 @@ fn read_entry(path: &Path, key: &str) -> ReadOutcome {
     }
 }
 
+/// The entry file's text: `{"ccs-store", "key", "sum", "record"}`,
+/// pretty-printed with a trailing newline, written in one pass.
+fn entry_text(key: &str, record: &RunRecord) -> String {
+    let sum = entry_checksum(key, record);
+    let mut text = String::with_capacity(key.len() + 1024);
+    ValueWriter::pretty(&mut text, 0).object(|doc| {
+        doc.key("ccs-store").u64(STORE_VERSION);
+        doc.key("key").str(key);
+        doc.key("sum").str(&sum);
+        doc.key("record").object(|object| record.write_json(object));
+    });
+    text.push('\n');
+    text
+}
+
 /// Validate one store document: `Ok(Some((key, record)))` for a verified
 /// current-version entry, `Ok(None)` for a stale (older-version) one, and
 /// `Err(reason)` for damage.
 fn check_entry(text: &str) -> Result<Option<(String, RunRecord)>, String> {
-    let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-    let version = doc
-        .get("ccs-store")
-        .and_then(Json::as_u64)
+    let mut reader = Reader::new(text);
+    let mut record = None;
+    let [version, stored_key, sum] = reader
+        .object_fields_with(&["ccs-store", "key", "sum"], |key, reader| {
+            if key == "record" && record.is_none() {
+                record = Some(RunRecord::read_json(reader)?);
+                Ok(())
+            } else {
+                reader.skip_value()
+            }
+        })
+        .and_then(|fields| reader.finish().map(|()| fields))
+        .map_err(|e| format!("malformed JSON: {e}"))?;
+    let version = version
+        .as_ref()
+        .and_then(Value::as_u64)
         .ok_or_else(|| "no \"ccs-store\" version field".to_string())?;
     if version != STORE_VERSION {
         return Ok(None);
     }
-    let stored_key = doc
-        .get("key")
-        .and_then(Json::as_str)
+    let stored_key = stored_key
+        .and_then(Value::into_string)
         .ok_or_else(|| "no \"key\" field".to_string())?;
-    let sum = doc
-        .get("sum")
-        .and_then(Json::as_str)
+    let sum = sum
+        .as_ref()
+        .and_then(Value::as_str)
         .ok_or_else(|| "no \"sum\" field".to_string())?;
-    let record_json = doc
-        .get("record")
-        .ok_or_else(|| "no \"record\" field".to_string())?;
-    if sum != entry_checksum(stored_key, record_json) {
+    let record = record
+        .ok_or_else(|| "no \"record\" field".to_string())?
+        .map_err(|e| format!("bad record: {e}"))?;
+    if sum != entry_checksum(&stored_key, &record) {
         return Err("checksum mismatch".to_string());
     }
-    let record = RunRecord::from_json(record_json).map_err(|e| format!("bad record: {e}"))?;
-    Ok(Some((stored_key.to_string(), record)))
+    Ok(Some((stored_key, record)))
 }
 
 /// The embedded integrity checksum: FNV-1a over the stored key and the
 /// record's compact JSON.  Compact serialisation is deterministic and
-/// round-trips through parse, so the hash is independent of the pretty
-/// formatting the file uses.
-fn entry_checksum(key: &str, record_json: &Json) -> String {
-    let material = format!("{key}\n{}", record_json.to_string_compact());
+/// round-trips through the decoder, so the hash is independent of the
+/// pretty formatting the file uses, and a stored record that decodes to
+/// anything but the record the sum was taken over fails the check.
+fn entry_checksum(key: &str, record: &RunRecord) -> String {
+    let material = format!("{key}\n{}", record.to_json_line());
     format!("{:016x}", fnv1a64(material.as_bytes()))
 }
 
@@ -404,6 +423,7 @@ fn quarantine(path: &Path, reason: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use ccs_sched::SchedulerSpec;
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -455,6 +475,32 @@ mod tests {
     }
 
     #[test]
+    fn entry_files_match_the_tree_rendering() {
+        // The single-pass writer must leave the on-disk format — pretty
+        // tree rendering, checksum over the tree's compact record — exactly
+        // as it was, so existing stores keep verifying.
+        let mut record = sample_record();
+        record.workload = "quote\" back\\slash\u{1}→".to_string();
+        record.seed = Some(u64::MAX);
+        let key = "ccs-key/2|workload=x|tricky\"key";
+        let tree_sum = format!(
+            "{:016x}",
+            fnv1a64(format!("{key}\n{}", record.to_json().to_string_compact()).as_bytes())
+        );
+        let tree = Json::object([
+            ("ccs-store", STORE_VERSION.into()),
+            ("key", key.into()),
+            ("sum", tree_sum.into()),
+            ("record", record.to_json()),
+        ]);
+        let text = entry_text(key, &record);
+        assert_eq!(text, tree.to_string_pretty());
+        let (stored_key, decoded) = check_entry(&text).unwrap().unwrap();
+        assert_eq!(stored_key, key);
+        assert_eq!(decoded, record);
+    }
+
+    #[test]
     fn corrupt_entries_are_quarantined_and_mismatches_miss() {
         let dir = unique_dir("corrupt");
         let store = ResultStore::open(&dir).unwrap();
@@ -492,12 +538,11 @@ mod tests {
         // A well-formed, correctly-checksummed file whose *stored key*
         // disagrees (hash collision stand-in): a miss, but NOT damage —
         // it must survive unquarantined.
-        let other_json = record.to_json();
         let doc = Json::object([
             ("ccs-store", STORE_VERSION.into()),
             ("key", "some-other-key".into()),
-            ("sum", entry_checksum("some-other-key", &other_json).into()),
-            ("record", other_json),
+            ("sum", entry_checksum("some-other-key", &record).into()),
+            ("record", record.to_json()),
         ]);
         std::fs::write(&path, doc.to_string_pretty()).unwrap();
         let fresh = ResultStore::open(&dir).unwrap();

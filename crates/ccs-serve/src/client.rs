@@ -75,6 +75,8 @@ pub struct Client<R, W> {
     writer: W,
     /// Frames about *other* requests, buffered while collecting one.
     stash: Vec<Frame>,
+    /// The inbound line buffer, reused across frames.
+    line: String,
 }
 
 impl Client<BufReader<UnixStream>, UnixStream> {
@@ -113,6 +115,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
             reader,
             writer,
             stash: Vec::new(),
+            line: String::new(),
         };
         match client.next_frame()? {
             Frame::Hello { .. } => Ok(client),
@@ -123,28 +126,29 @@ impl<R: BufRead, W: Write> Client<R, W> {
         }
     }
 
-    /// Send one frame.
+    /// Send one frame: the line and its newline in a single write.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        writeln!(self.writer, "{}", frame.to_line())?;
+        let mut line = frame.to_line();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
 
     /// Read the next frame (blocking).  EOF is an error: the protocol ends
     /// with a terminal frame, not a silent close.
     pub fn next_frame(&mut self) -> io::Result<Frame> {
-        let mut line = String::new();
         loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection",
                 ));
             }
-            if line.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
             }
-            return Frame::parse(line.trim_end()).map_err(protocol_error);
+            return Frame::parse(self.line.trim_end()).map_err(protocol_error);
         }
     }
 

@@ -29,9 +29,12 @@
 //!
 //! Frames parse from and render to single lines via the same offline JSON
 //! layer the report format uses ([`ccs_experiment::json`]), so a `result`
-//! frame's `record` member is byte-compatible with report records.
+//! frame's `record` member is byte-compatible with report records.  Both
+//! directions are single-pass: [`Frame::write_line`] writes straight into
+//! one `String`, [`Frame::parse`] pulls the fields it needs out of the line
+//! with a borrowing [`Reader`] and skips the rest.
 
-use ccs_experiment::json::{self, Json};
+use ccs_experiment::json::{Reader, Value, ValueWriter};
 use ccs_experiment::RunRecord;
 use ccs_sim::SimEngine;
 
@@ -211,35 +214,43 @@ impl Frame {
 
     /// Render the frame as one newline-free JSON line.
     pub fn to_line(&self) -> String {
-        self.to_json().to_string_compact()
+        let mut line = String::with_capacity(128);
+        self.write_line(&mut line);
+        line
     }
 
-    fn to_json(&self) -> Json {
-        match self {
-            Frame::Hello { version } => Json::object([
-                ("type", "hello".into()),
-                ("version", version.as_str().into()),
-            ]),
+    /// Append the frame's newline-free JSON line to `out`, in one pass:
+    /// no tree, no per-key allocation.
+    pub fn write_line(&self, out: &mut String) {
+        ValueWriter::compact(out).object(|f| match self {
+            Frame::Hello { version } => {
+                f.key("type").str("hello");
+                f.key("version").str(version);
+            }
             Frame::Submit(req) => {
-                let strings = |items: &[String]| {
-                    Json::Array(items.iter().map(|s| Json::Str(s.clone())).collect())
-                };
-                Json::object([
-                    ("type", "submit".into()),
-                    ("id", req.id.as_str().into()),
-                    ("name", req.name.as_deref().map_or(Json::Null, Json::from)),
-                    ("workloads", strings(&req.workloads)),
-                    ("schedulers", strings(&req.schedulers)),
-                    (
-                        "cores",
-                        Json::Array(req.cores.iter().map(|&c| Json::from(c)).collect()),
-                    ),
-                    ("scale", req.scale.into()),
-                    ("quick", req.quick.into()),
-                    ("engine", req.engine.name().into()),
-                    ("baseline", req.baseline.into()),
-                    ("timeout_ms", req.timeout_ms.map_or(Json::Null, Json::from)),
-                ])
+                f.key("type").str("submit");
+                f.key("id").str(&req.id);
+                f.key("name").opt_str(req.name.as_deref());
+                f.key("workloads").array(|a| {
+                    for workload in &req.workloads {
+                        a.item().str(workload);
+                    }
+                });
+                f.key("schedulers").array(|a| {
+                    for scheduler in &req.schedulers {
+                        a.item().str(scheduler);
+                    }
+                });
+                f.key("cores").array(|a| {
+                    for &cores in &req.cores {
+                        a.item().u64(cores as u64);
+                    }
+                });
+                f.key("scale").u64(req.scale);
+                f.key("quick").bool(req.quick);
+                f.key("engine").str(req.engine.name());
+                f.key("baseline").bool(req.baseline);
+                f.key("timeout_ms").opt_u64(req.timeout_ms);
             }
             Frame::Accepted {
                 id,
@@ -247,232 +258,268 @@ impl Frame {
                 scale,
                 points,
                 total,
-            } => Json::object([
-                ("type", "accepted".into()),
-                ("id", id.as_str().into()),
-                ("name", name.as_str().into()),
-                ("scale", (*scale).into()),
-                ("points", (*points).into()),
-                ("total", (*total).into()),
-            ]),
+            } => {
+                f.key("type").str("accepted");
+                f.key("id").str(id);
+                f.key("name").str(name);
+                f.key("scale").u64(*scale);
+                f.key("points").u64(*points as u64);
+                f.key("total").u64(*total as u64);
+            }
             Frame::Result {
                 id,
                 seq,
                 total,
                 cached,
                 record,
-            } => Json::object([
-                ("type", "result".into()),
-                ("id", id.as_str().into()),
-                ("seq", (*seq).into()),
-                ("total", (*total).into()),
-                ("cached", (*cached).into()),
-                ("record", record.to_json()),
-            ]),
+            } => {
+                f.key("type").str("result");
+                f.key("id").str(id);
+                f.key("seq").u64(*seq as u64);
+                f.key("total").u64(*total as u64);
+                f.key("cached").bool(*cached);
+                f.key("record").object(|r| record.write_json(r));
+            }
             Frame::Status {
                 id,
                 state,
                 completed,
                 total,
-            } => Json::object([
-                ("type", "status".into()),
-                ("id", id.as_str().into()),
-                ("state", state.name().into()),
-                ("completed", (*completed).into()),
-                ("total", (*total).into()),
-            ]),
+            } => {
+                f.key("type").str("status");
+                f.key("id").str(id);
+                f.key("state").str(state.name());
+                f.key("completed").u64(*completed as u64);
+                f.key("total").u64(*total as u64);
+            }
             Frame::Query { id } => {
-                Json::object([("type", "query".into()), ("id", id.as_str().into())])
+                f.key("type").str("query");
+                f.key("id").str(id);
             }
             Frame::Progress {
                 id,
                 completed,
                 total,
                 cached,
-            } => Json::object([
-                ("type", "progress".into()),
-                ("id", id.as_str().into()),
-                ("completed", (*completed).into()),
-                ("total", (*total).into()),
-                ("cached", (*cached).into()),
-            ]),
-            Frame::Cancel { id } => {
-                Json::object([("type", "cancel".into()), ("id", id.as_str().into())])
+            } => {
+                f.key("type").str("progress");
+                f.key("id").str(id);
+                f.key("completed").u64(*completed as u64);
+                f.key("total").u64(*total as u64);
+                f.key("cached").u64(*cached as u64);
             }
-            Frame::Ping => Json::object([("type", "ping".into())]),
-            Frame::Pong => Json::object([("type", "pong".into())]),
-            Frame::HealthQuery => Json::object([("type", "health".into())]),
-            Frame::Health(report) => Json::object([
-                ("type", "health".into()),
-                ("uptime_ms", report.uptime_ms.into()),
-                ("inflight", report.inflight.into()),
-                ("queue_depth", report.queue_depth.into()),
-                ("panics_caught", report.panics_caught.into()),
-                ("timeouts", report.timeouts.into()),
-                ("store_records", report.store_records.into()),
-                ("store_bytes", report.store_bytes.into()),
-            ]),
-            Frame::Shutdown => Json::object([("type", "shutdown".into())]),
-            Frame::Error { id, message } => Json::object([
-                ("type", "error".into()),
-                ("id", id.as_deref().map_or(Json::Null, Json::from)),
-                ("message", message.as_str().into()),
-            ]),
-        }
+            Frame::Cancel { id } => {
+                f.key("type").str("cancel");
+                f.key("id").str(id);
+            }
+            Frame::Ping => f.key("type").str("ping"),
+            Frame::Pong => f.key("type").str("pong"),
+            Frame::HealthQuery => f.key("type").str("health"),
+            Frame::Health(report) => {
+                f.key("type").str("health");
+                f.key("uptime_ms").u64(report.uptime_ms);
+                f.key("inflight").u64(report.inflight as u64);
+                f.key("queue_depth").u64(report.queue_depth as u64);
+                f.key("panics_caught").u64(report.panics_caught);
+                f.key("timeouts").u64(report.timeouts);
+                f.key("store_records").u64(report.store_records as u64);
+                f.key("store_bytes").u64(report.store_bytes);
+            }
+            Frame::Shutdown => f.key("type").str("shutdown"),
+            Frame::Error { id, message } => {
+                f.key("type").str("error");
+                f.key("id").opt_str(id.as_deref());
+                f.key("message").str(message);
+            }
+        });
     }
 
-    /// Parse one line into a frame.  Unknown fields are ignored (forward
-    /// compatibility); unknown frame types and malformed payloads are errors.
+    /// Parse one line into a frame, in one pass over a [`Reader`].
+    /// Unknown fields are ignored (forward compatibility); unknown frame
+    /// types and malformed payloads are errors.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        let doc = json::parse(line).map_err(|e| format!("malformed frame: {e}"))?;
-        let kind = doc
-            .get("type")
-            .and_then(Json::as_str)
+        let mut reader = Reader::new(line);
+        // The record is decoded in place, not skipped and re-read; its
+        // shape errors wait until the frame type is known to want it.
+        let mut record = None;
+        let fields = reader
+            .object_fields_with(
+                &[
+                    "type",
+                    "id",
+                    "seq",
+                    "total",
+                    "cached",
+                    "name",
+                    "scale",
+                    "points",
+                    "state",
+                    "completed",
+                    "version",
+                    "workloads",
+                    "schedulers",
+                    "cores",
+                    "quick",
+                    "engine",
+                    "baseline",
+                    "timeout_ms",
+                    "uptime_ms",
+                    "inflight",
+                    "queue_depth",
+                    "panics_caught",
+                    "timeouts",
+                    "store_records",
+                    "store_bytes",
+                    "message",
+                ],
+                |key, reader| {
+                    if key == "record" && record.is_none() {
+                        record = Some(RunRecord::read_json(reader)?);
+                        Ok(())
+                    } else {
+                        reader.skip_value()
+                    }
+                },
+            )
+            .and_then(|fields| reader.finish().map(|()| fields))
+            .map_err(|e| format!("malformed frame: {e}"))?;
+        let [kind, id, seq, total, cached, name, scale, points, state, completed, version, workloads, schedulers, cores, quick, engine, baseline, timeout_ms, uptime_ms, inflight, queue_depth, panics_caught, timeouts, store_records, store_bytes, message] =
+            fields;
+        let kind = kind
+            .as_ref()
+            .and_then(Value::as_str)
             .ok_or_else(|| "frame has no \"type\" field".to_string())?;
-        let id = |doc: &Json| -> Result<String, String> {
-            doc.get("id")
-                .and_then(Json::as_str)
-                .map(str::to_string)
+        let require_id = |id: Option<Value<'_>>| {
+            id.and_then(Value::into_string)
                 .ok_or_else(|| format!("{kind:?} frame has no \"id\" field"))
         };
         match kind {
             "hello" => Ok(Frame::Hello {
-                version: doc
-                    .get("version")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
+                version: version.and_then(Value::into_string).unwrap_or_default(),
             }),
-            "submit" => Ok(Frame::Submit(parse_submit(&doc, id(&doc)?)?)),
+            "submit" => {
+                // Validation order: id, workloads, cores, engine, schedulers.
+                let id = require_id(id)?;
+                let workloads = strings(workloads, "workloads")?;
+                if workloads.is_empty() {
+                    return Err("submit has no workloads".to_string());
+                }
+                let malformed_cores = || "submit field \"cores\" must be an array of integers";
+                let cores = match cores {
+                    None | Some(Value::Null) => Vec::new(),
+                    Some(Value::Array(items)) => items
+                        .iter()
+                        .map(|v| v.as_u64().map(|c| c as usize))
+                        .collect::<Option<_>>()
+                        .ok_or_else(malformed_cores)?,
+                    Some(_) => return Err(malformed_cores().to_string()),
+                };
+                let engine = match engine.as_ref().and_then(Value::as_str) {
+                    None => SimEngine::EventDriven,
+                    Some(text) => text.parse::<SimEngine>()?,
+                };
+                Ok(Frame::Submit(SubmitRequest {
+                    id,
+                    name: name.and_then(Value::into_string),
+                    workloads,
+                    schedulers: strings(schedulers, "schedulers")?,
+                    cores,
+                    scale: scale.as_ref().and_then(Value::as_u64).unwrap_or(1),
+                    quick: quick.as_ref().and_then(Value::as_bool).unwrap_or(false),
+                    engine,
+                    baseline: baseline.as_ref().and_then(Value::as_bool).unwrap_or(true),
+                    timeout_ms: timeout_ms.as_ref().and_then(Value::as_u64),
+                }))
+            }
             "accepted" => Ok(Frame::Accepted {
-                id: id(&doc)?,
-                name: require_str(&doc, "name")?,
-                scale: require_u64(&doc, "scale")?,
-                points: require_u64(&doc, "points")? as usize,
-                total: require_u64(&doc, "total")? as usize,
+                id: require_id(id)?,
+                name: require_str(name, "name")?,
+                scale: require_u64(&scale, "scale")?,
+                points: require_u64(&points, "points")? as usize,
+                total: require_u64(&total, "total")? as usize,
             }),
             "result" => Ok(Frame::Result {
-                id: id(&doc)?,
-                seq: require_u64(&doc, "seq")? as usize,
-                total: require_u64(&doc, "total")? as usize,
-                cached: doc.get("cached").and_then(Json::as_bool).unwrap_or(false),
-                record: RunRecord::from_json(
-                    doc.get("record")
-                        .ok_or_else(|| "result frame has no \"record\"".to_string())?,
-                )
-                .map_err(|e| format!("bad record in result frame: {e}"))?,
+                id: require_id(id)?,
+                seq: require_u64(&seq, "seq")? as usize,
+                total: require_u64(&total, "total")? as usize,
+                cached: cached.as_ref().and_then(Value::as_bool).unwrap_or(false),
+                record: record
+                    .ok_or_else(|| "result frame has no \"record\"".to_string())?
+                    .map_err(|e| format!("bad record in result frame: {e}"))?,
             }),
             "status" => Ok(Frame::Status {
-                id: id(&doc)?,
-                state: match require_str(&doc, "state")?.as_str() {
+                id: require_id(id)?,
+                state: match require_str(state, "state")?.as_str() {
                     "done" => RequestState::Done,
                     "cancelled" => RequestState::Cancelled,
                     "timeout" => RequestState::TimedOut,
                     "failed" => RequestState::Failed,
                     other => return Err(format!("unknown request state {other:?}")),
                 },
-                completed: require_u64(&doc, "completed")? as usize,
-                total: require_u64(&doc, "total")? as usize,
+                completed: require_u64(&completed, "completed")? as usize,
+                total: require_u64(&total, "total")? as usize,
             }),
-            "query" => Ok(Frame::Query { id: id(&doc)? }),
+            "query" => Ok(Frame::Query {
+                id: require_id(id)?,
+            }),
             "progress" => Ok(Frame::Progress {
-                id: id(&doc)?,
-                completed: require_u64(&doc, "completed")? as usize,
-                total: require_u64(&doc, "total")? as usize,
-                cached: require_u64(&doc, "cached")? as usize,
+                id: require_id(id)?,
+                completed: require_u64(&completed, "completed")? as usize,
+                total: require_u64(&total, "total")? as usize,
+                cached: require_u64(&cached, "cached")? as usize,
             }),
-            "cancel" => Ok(Frame::Cancel { id: id(&doc)? }),
+            "cancel" => Ok(Frame::Cancel {
+                id: require_id(id)?,
+            }),
             "ping" => Ok(Frame::Ping),
             "pong" => Ok(Frame::Pong),
             // The probe and the report share the wire type; the report is
             // the one carrying measurements.
-            "health" => {
-                if doc.get("uptime_ms").is_none() {
-                    Ok(Frame::HealthQuery)
-                } else {
-                    Ok(Frame::Health(HealthReport {
-                        uptime_ms: require_u64(&doc, "uptime_ms")?,
-                        inflight: require_u64(&doc, "inflight")? as usize,
-                        queue_depth: require_u64(&doc, "queue_depth")? as usize,
-                        panics_caught: require_u64(&doc, "panics_caught")?,
-                        timeouts: require_u64(&doc, "timeouts")?,
-                        store_records: require_u64(&doc, "store_records")? as usize,
-                        store_bytes: require_u64(&doc, "store_bytes")?,
-                    }))
-                }
-            }
+            "health" if uptime_ms.is_none() => Ok(Frame::HealthQuery),
+            "health" => Ok(Frame::Health(HealthReport {
+                uptime_ms: require_u64(&uptime_ms, "uptime_ms")?,
+                inflight: require_u64(&inflight, "inflight")? as usize,
+                queue_depth: require_u64(&queue_depth, "queue_depth")? as usize,
+                panics_caught: require_u64(&panics_caught, "panics_caught")?,
+                timeouts: require_u64(&timeouts, "timeouts")?,
+                store_records: require_u64(&store_records, "store_records")? as usize,
+                store_bytes: require_u64(&store_bytes, "store_bytes")?,
+            })),
             "shutdown" => Ok(Frame::Shutdown),
             "error" => Ok(Frame::Error {
-                id: doc.get("id").and_then(Json::as_str).map(str::to_string),
-                message: require_str(&doc, "message")?,
+                id: id.and_then(Value::into_string),
+                message: require_str(message, "message")?,
             }),
             other => Err(format!("unknown frame type {other:?}")),
         }
     }
 }
 
-fn require_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
+fn require_str(value: Option<Value<'_>>, key: &str) -> Result<String, String> {
+    value
+        .and_then(Value::into_string)
         .ok_or_else(|| format!("frame has no string field {key:?}"))
 }
 
-fn require_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
+fn require_u64(value: &Option<Value<'_>>, key: &str) -> Result<u64, String> {
+    value
+        .as_ref()
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("frame has no integer field {key:?}"))
 }
 
-fn parse_submit(doc: &Json, id: String) -> Result<SubmitRequest, String> {
-    let strings = |key: &str| -> Result<Vec<String>, String> {
-        match doc.get(key) {
-            None | Some(Json::Null) => Ok(Vec::new()),
-            Some(value) => value
-                .as_array()
-                .ok_or_else(|| format!("submit field {key:?} must be an array of strings"))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("submit field {key:?} must be an array of strings"))
-                })
-                .collect(),
-        }
-    };
-    let workloads = strings("workloads")?;
-    if workloads.is_empty() {
-        return Err("submit has no workloads".to_string());
+/// A submit list field: absent or `null` is empty, anything but an array
+/// of strings is an error.
+fn strings(value: Option<Value<'_>>, key: &str) -> Result<Vec<String>, String> {
+    let malformed = || format!("submit field {key:?} must be an array of strings");
+    match value {
+        None | Some(Value::Null) => Ok(Vec::new()),
+        Some(Value::Array(items)) => items
+            .into_iter()
+            .map(|v| v.into_string().ok_or_else(malformed))
+            .collect(),
+        Some(_) => Err(malformed()),
     }
-    let cores = match doc.get("cores") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(value) => value
-            .as_array()
-            .ok_or_else(|| "submit field \"cores\" must be an array of integers".to_string())?
-            .iter()
-            .map(|v| {
-                v.as_u64().map(|c| c as usize).ok_or_else(|| {
-                    "submit field \"cores\" must be an array of integers".to_string()
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let engine = match doc.get("engine").and_then(Json::as_str) {
-        None => SimEngine::EventDriven,
-        Some(text) => text.parse::<SimEngine>()?,
-    };
-    Ok(SubmitRequest {
-        id,
-        name: doc.get("name").and_then(Json::as_str).map(str::to_string),
-        workloads,
-        schedulers: strings("schedulers")?,
-        cores,
-        scale: doc.get("scale").and_then(Json::as_u64).unwrap_or(1),
-        quick: doc.get("quick").and_then(Json::as_bool).unwrap_or(false),
-        engine,
-        baseline: doc.get("baseline").and_then(Json::as_bool).unwrap_or(true),
-        timeout_ms: doc.get("timeout_ms").and_then(Json::as_u64),
-    })
 }
 
 #[cfg(test)]

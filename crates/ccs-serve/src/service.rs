@@ -43,6 +43,7 @@
 //! uptime, inflight and queue depth plus the panic/timeout counters and
 //! store statistics.
 
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,7 +52,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ccs_experiment::canon::record_key;
+use ccs_experiment::canon::record_keys;
 use ccs_experiment::{Experiment, ResultStore, RunRecord, SweepPoint};
 use ccs_runtime::{CancelToken, Policy, ThreadPool};
 use ccs_sched::SchedulerSpec;
@@ -115,6 +116,8 @@ pub struct PreparedRequest {
 /// A queued request: the prepared experiment plus its session plumbing.
 struct QueuedRequest {
     prepared: PreparedRequest,
+    /// The request's progress-book entry (see [`ProgressBook`]).
+    progress_seq: u64,
     token: CancelToken,
     reply: mpsc::Sender<Frame>,
     /// Deadline registration, when the request carried `timeout_ms`.  The
@@ -132,12 +135,64 @@ struct PointDone {
     records: Result<Vec<RunRecord>, String>,
 }
 
+/// How many finished requests keep their progress entry, most recent
+/// first: a `query` for an id that has fallen out of the window answers
+/// "unknown request id", as for an id never submitted.
+pub const FINISHED_PROGRESS_WINDOW: usize = 1024;
+
 /// Live progress of one request, served to `query` frames.
 #[derive(Clone, Copy, Default)]
 struct Progress {
     completed: usize,
     total: usize,
     cached: usize,
+    /// Submit sequence number, so an old id's eviction cannot remove the
+    /// entry of a later request that reused the id.
+    seq: u64,
+}
+
+/// Every live request's progress plus the last
+/// [`FINISHED_PROGRESS_WINDOW`] finished ones.
+#[derive(Default)]
+struct ProgressBook {
+    entries: HashMap<String, Progress>,
+    /// Finished requests, oldest first, as `(id, seq)`.
+    finished: VecDeque<(String, u64)>,
+    next_seq: u64,
+}
+
+impl ProgressBook {
+    fn start(&mut self, id: &str, total: usize) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.entries.insert(
+            id.to_string(),
+            Progress {
+                total,
+                seq,
+                ..Progress::default()
+            },
+        );
+        seq
+    }
+
+    /// Remove `id`'s entry if it still belongs to submit `seq`.
+    fn forget(&mut self, id: &str, seq: u64) {
+        if self.entries.get(id).is_some_and(|p| p.seq == seq) {
+            self.entries.remove(id);
+        }
+    }
+
+    /// Move a request into the finished window, evicting the oldest
+    /// finished entry once the window is full.
+    fn finish(&mut self, id: &str, seq: u64) {
+        if self.finished.len() == FINISHED_PROGRESS_WINDOW {
+            if let Some((old_id, old_seq)) = self.finished.pop_front() {
+                self.forget(&old_id, old_seq);
+            }
+        }
+        self.finished.push_back((id.to_string(), seq));
+    }
 }
 
 /// One registered deadline, shared between the watcher thread and the
@@ -250,10 +305,10 @@ struct ServiceInner {
     store: Option<ResultStore>,
     root: CancelToken,
     /// Request id → progress, inserted at submit and updated as records
-    /// stream.  Entries persist after completion (three counters per
-    /// request id) so late queries still answer; a resubmitted id
-    /// overwrites its entry.
-    progress: Mutex<std::collections::HashMap<String, Progress>>,
+    /// stream.  Entries outlive completion in a bounded window
+    /// ([`FINISHED_PROGRESS_WINDOW`]) so late queries still answer; a
+    /// resubmitted id overwrites its entry.
+    progress: Mutex<ProgressBook>,
     deadlines: Arc<DeadlineWatcher>,
     /// Service start time, for health uptime.
     started: Instant,
@@ -284,7 +339,7 @@ impl Service {
             pool: ThreadPool::new(config.pool_threads, Policy::WorkStealing),
             store,
             root: CancelToken::new(),
-            progress: Mutex::new(std::collections::HashMap::new()),
+            progress: Mutex::new(ProgressBook::default()),
             deadlines: Arc::new(DeadlineWatcher::new()),
             started: Instant::now(),
             inflight: AtomicUsize::new(0),
@@ -395,15 +450,7 @@ impl Service {
         pending: Option<Box<dyn std::any::Any + Send>>,
     ) -> Result<(), SubmitError> {
         let id = prepared.id.clone();
-        let total = prepared.total;
-        self.inner.progress.lock().insert(
-            id.clone(),
-            Progress {
-                completed: 0,
-                total,
-                cached: 0,
-            },
-        );
+        let progress_seq = self.inner.progress.lock().start(&id, prepared.total);
         // The deadline clock starts here: time spent queued counts, so a
         // request that expires before a worker reaches it terminates with
         // `timeout` and zero records.  (A queue-rejected request drops the
@@ -413,6 +460,7 @@ impl Service {
             .map(|timeout| self.inner.deadlines.register(timeout, token.clone()));
         let result = self.inner.queue.submit(QueuedRequest {
             prepared,
+            progress_seq,
             token,
             reply,
             deadline,
@@ -421,21 +469,30 @@ impl Service {
         if result.is_err() {
             // The queue rejected it (full or closed): no run will happen,
             // so don't leave a phantom 0/total entry behind.
-            self.inner.progress.lock().remove(&id);
+            self.inner.progress.lock().forget(&id, progress_seq);
         }
         result
     }
 
     /// Progress of a submitted request: `(completed, total, cached)`
-    /// record counts, or `None` for an id the service never accepted.
+    /// record counts, or `None` for an id the service never accepted (or
+    /// that finished more than [`FINISHED_PROGRESS_WINDOW`] requests ago).
     /// Serves the protocol's `query` frame — any session may ask about any
     /// request id, without collecting its results.
     pub fn progress(&self, id: &str) -> Option<(usize, usize, usize)> {
         self.inner
             .progress
             .lock()
+            .entries
             .get(id)
             .map(|p| (p.completed, p.total, p.cached))
+    }
+
+    /// Number of request ids the progress book holds (live + finished
+    /// window).
+    #[cfg(test)]
+    pub(crate) fn progress_entries(&self) -> usize {
+        self.inner.progress.lock().entries.len()
     }
 
     /// A child of the service's root cancel token: per-request tokens hang
@@ -499,19 +556,14 @@ impl Drop for Service {
 
 /// Canonical store keys of one point's records, in resolved-scheduler order.
 fn point_keys(req: &PreparedRequest, point: &SweepPoint) -> Vec<String> {
-    req.schedulers
-        .iter()
-        .map(|sched| {
-            record_key(
-                &point.workload.label(),
-                &point.config,
-                req.scale,
-                req.engine,
-                sched,
-                req.baseline,
-            )
-        })
-        .collect()
+    record_keys(
+        &point.workload.label(),
+        &point.config,
+        req.scale,
+        req.engine,
+        &req.schedulers,
+        req.baseline,
+    )
 }
 
 /// Extract a human-readable message from a caught panic payload.
@@ -530,6 +582,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     let QueuedRequest {
         prepared: req,
+        progress_seq,
         token,
         reply,
         deadline,
@@ -567,7 +620,13 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 token.cancel();
             }
         }
-        if let Some(progress) = inner.progress.lock().get_mut(&req.id) {
+        if let Some(progress) = inner
+            .progress
+            .lock()
+            .entries
+            .get_mut(&req.id)
+            .filter(|p| p.seq == progress_seq)
+        {
             progress.completed = completed;
             if cached {
                 progress.cached += records.len();
@@ -582,6 +641,8 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
             .map(|key| store.get(key))
             .collect()
     };
+
+    let points = req.exp.sweep_points();
 
     // Launch phase: serve stored points immediately, batch the rest.  The
     // batch engine launches one pool closure per batchable *group* (its
@@ -633,11 +694,12 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 });
             }
         } else {
-            for point in req.exp.sweep_points() {
-                if let Some(records) = stored_records(&point) {
+            for point in &points {
+                if let Some(records) = stored_records(point) {
                     emit(point.index * per_point, &records, true);
                     continue;
                 }
+                let point = point.clone();
                 let exp = Arc::clone(&req.exp);
                 let tx = tx.clone();
                 let service = Arc::clone(inner);
@@ -683,7 +745,6 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
         if let Some(store) = &inner.store {
             // Re-deriving the keys here is cheaper than shipping them
             // through the pool closure.
-            let points = req.exp.sweep_points();
             for (key, record) in point_keys(&req, &points[done.index]).iter().zip(&records) {
                 if let Err(e) = store.put(key, record) {
                     // Memoisation is best-effort: the record still streams,
@@ -712,6 +773,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     // that reacts to the status with a health probe must not see this
     // request still counted in flight.
     drop(deadline);
+    inner.progress.lock().finish(&req.id, progress_seq);
     inner.inflight.fetch_sub(1, Ordering::Relaxed);
     let _ = reply.send(Frame::Status {
         id: req.id.clone(),

@@ -20,8 +20,8 @@
 //! and the frame parser itself never panics (fuzzed in
 //! `tests/protocol_proptests.rs`).
 
-use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufRead, BufWriter, Write};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -39,43 +39,103 @@ use crate::service::Service;
 /// session at most this much buffer.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024;
 
-/// Counts the session's requests that have not yet reached terminal status.
+/// How many finished request ids a session remembers, so that a `cancel`
+/// racing its request's terminal `status` is a quiet no-op rather than an
+/// "unknown request id" error.
+const RECENTLY_FINISHED: usize = 64;
+
+/// The session's requests that have not yet reached terminal status: how
+/// many (the drain counter) and their cancel tokens by id (what `cancel`
+/// frames trip).  Both shrink as requests finish, so a long-lived session
+/// holds state for its live requests plus the last [`RECENTLY_FINISHED`]
+/// ids only.
 struct PendingRequests {
-    count: Mutex<usize>,
+    state: Mutex<Pending>,
     zero: Condvar,
+}
+
+#[derive(Default)]
+struct Pending {
+    count: usize,
+    /// Live request id → (submit sequence number, cancel token).  The
+    /// sequence number keeps a finished request from removing the entry of
+    /// a later request that reused its id.
+    tokens: HashMap<String, (u64, CancelToken)>,
+    next_seq: u64,
+    /// The most recently finished ids, oldest first.
+    finished: VecDeque<String>,
 }
 
 impl PendingRequests {
     fn new() -> Arc<PendingRequests> {
         Arc::new(PendingRequests {
-            count: Mutex::new(0),
+            state: Mutex::new(Pending::default()),
             zero: Condvar::new(),
         })
     }
 
-    fn begin(self: &Arc<Self>) -> PendingGuard {
-        *self.count.lock() += 1;
-        PendingGuard(Arc::clone(self))
+    /// Track a submitted request until the returned guard drops.
+    fn begin(self: &Arc<Self>, id: &str, token: CancelToken) -> PendingGuard {
+        let mut state = self.state.lock();
+        state.count += 1;
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.tokens.insert(id.to_string(), (seq, token));
+        PendingGuard {
+            requests: Arc::clone(self),
+            id: id.to_string(),
+            seq,
+        }
+    }
+
+    /// Trip the cancel token of the live request `id`.  Returns `false`
+    /// when the session never submitted `id` (or finished it too long ago
+    /// to remember); cancelling a just-finished request is a no-op.
+    fn cancel(&self, id: &str) -> bool {
+        let state = self.state.lock();
+        match state.tokens.get(id) {
+            Some((_, token)) => {
+                token.cancel();
+                true
+            }
+            None => state.finished.iter().any(|done| done == id),
+        }
     }
 
     fn wait_for_drain(&self) {
-        let mut count = self.count.lock();
-        while *count > 0 {
-            self.zero.wait(&mut count);
+        let mut state = self.state.lock();
+        while state.count > 0 {
+            self.zero.wait(&mut state);
         }
     }
 }
 
 /// RAII drain counter: the service worker drops this when the request is
-/// terminal (done, cancelled, or skipped), whatever path it took.
-struct PendingGuard(Arc<PendingRequests>);
+/// terminal (done, cancelled, or skipped), whatever path it took — which
+/// also releases the request's cancel token.
+struct PendingGuard {
+    requests: Arc<PendingRequests>,
+    id: String,
+    seq: u64,
+}
 
 impl Drop for PendingGuard {
     fn drop(&mut self) {
-        let mut count = self.0.count.lock();
-        *count -= 1;
-        if *count == 0 {
-            self.0.zero.notify_all();
+        let mut state = self.requests.state.lock();
+        if state
+            .tokens
+            .get(&self.id)
+            .is_some_and(|(seq, _)| *seq == self.seq)
+        {
+            state.tokens.remove(&self.id);
+        }
+        if state.finished.len() == RECENTLY_FINISHED {
+            state.finished.pop_front();
+        }
+        state.finished.push_back(std::mem::take(&mut self.id));
+        state.count -= 1;
+        if state.count == 0 {
+            self.requests.zero.notify_all();
         }
     }
 }
@@ -98,7 +158,7 @@ pub fn run(service: &Service, reader: impl BufRead, writer: impl Write + Send + 
         }
     };
 
-    let shutdown = read_loop(service, reader, &tx);
+    let shutdown = read_loop(service, reader, &tx, &PendingRequests::new());
 
     // Drain before closing the writer: workers may still be streaming.
     drop(tx);
@@ -106,25 +166,39 @@ pub fn run(service: &Service, reader: impl BufRead, writer: impl Write + Send + 
     shutdown
 }
 
-fn write_loop(mut writer: impl Write, rx: mpsc::Receiver<Frame>) {
-    // A write error means the client is gone; stop consuming so senders see
-    // the disconnect (workers then cancel their requests).
-    for frame in rx {
-        // Fault-plan hook (a no-op unless a plan is installed): a client on
-        // a stalled link.  The abrupt-close injection lives in the socket
-        // layer (`server::FaultableStream`), which can actually tear the
-        // connection down — merely dropping this writer would leave the
-        // reader's duplicate of the socket open and both sides blocked.
-        if let Some(delay) = fault::session_write_delay() {
-            thread::sleep(delay);
+fn write_loop(writer: impl Write, rx: mpsc::Receiver<Frame>) {
+    // Frames are encoded into a buffered writer, and the buffer is flushed
+    // only once the queue has run dry: a burst of frames (a cached sweep's
+    // results) leaves in one write, while a lone frame still goes out as
+    // soon as it is encoded — results stream as they complete.  A write
+    // error means the client is gone; stop consuming so senders see the
+    // disconnect (workers then cancel their requests).
+    let mut writer = BufWriter::new(writer);
+    let mut line = String::with_capacity(1024);
+    while let Ok(mut frame) = rx.recv() {
+        loop {
+            // Fault-plan hook (a no-op unless a plan is installed): a
+            // client on a stalled link.  The abrupt-close injection lives
+            // in the socket layer (`server::FaultableStream`), which can
+            // actually tear the connection down — merely dropping this
+            // writer would leave the reader's duplicate of the socket open
+            // and both sides blocked.
+            if let Some(delay) = fault::session_write_delay() {
+                thread::sleep(delay);
+            }
+            line.clear();
+            frame.write_line(&mut line);
+            line.push('\n');
+            if writer.write_all(line.as_bytes()).is_err() {
+                return;
+            }
+            match rx.try_recv() {
+                Ok(next) => frame = next,
+                Err(_) => break,
+            }
         }
-        if writeln!(writer, "{}", frame.to_line()).is_err() {
-            break;
-        }
-        // Flush per frame: results must stream as they complete, not when a
-        // buffer happens to fill.
         if writer.flush().is_err() {
-            break;
+            return;
         }
     }
 }
@@ -152,7 +226,7 @@ fn read_frame_line(reader: &mut impl BufRead, max: usize) -> std::io::Result<Lin
             } else if buf.is_empty() {
                 LineRead::Eof
             } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                LineRead::Line(into_text(buf))
             });
         }
         match chunk.iter().position(|&b| b == b'\n') {
@@ -164,7 +238,7 @@ fn read_frame_line(reader: &mut impl BufRead, max: usize) -> std::io::Result<Lin
                 return Ok(if overflow || buf.len() > max {
                     LineRead::Oversized
                 } else {
-                    LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                    LineRead::Line(into_text(buf))
                 });
             }
             None => {
@@ -182,14 +256,23 @@ fn read_frame_line(reader: &mut impl BufRead, max: usize) -> std::io::Result<Lin
     }
 }
 
-fn read_loop(service: &Service, mut reader: impl BufRead, tx: &mpsc::Sender<Frame>) -> bool {
+/// A line's bytes as text, invalid UTF-8 replaced (without a copy when the
+/// bytes are valid).
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+fn read_loop(
+    service: &Service,
+    mut reader: impl BufRead,
+    tx: &mpsc::Sender<Frame>,
+    pending: &Arc<PendingRequests>,
+) -> bool {
     let send = |frame: Frame| {
         let _ = tx.send(frame);
     };
     send(Frame::hello());
 
-    let pending = PendingRequests::new();
-    let mut tokens: HashMap<String, CancelToken> = HashMap::new();
     let mut shutdown = false;
 
     loop {
@@ -229,8 +312,7 @@ fn read_loop(service: &Service, mut reader: impl BufRead, tx: &mpsc::Sender<Fram
                     }
                 };
                 let token = service.request_token();
-                tokens.insert(id.clone(), token.clone());
-                let guard = Box::new(pending.begin());
+                let guard = Box::new(pending.begin(&id, token.clone()));
                 if let Err(e) = service.submit(prepared, token, tx.clone(), Some(guard)) {
                     // The guard travelled into the rejected request and has
                     // already been dropped with it — no pending leak.
@@ -240,13 +322,14 @@ fn read_loop(service: &Service, mut reader: impl BufRead, tx: &mpsc::Sender<Fram
                     });
                 }
             }
-            Frame::Cancel { id } => match tokens.get(&id) {
-                Some(token) => token.cancel(),
-                None => send(Frame::Error {
-                    id: Some(id),
-                    message: "cancel: unknown request id".to_string(),
-                }),
-            },
+            Frame::Cancel { id } => {
+                if !pending.cancel(&id) {
+                    send(Frame::Error {
+                        id: Some(id),
+                        message: "cancel: unknown request id".to_string(),
+                    });
+                }
+            }
             Frame::Query { id } => match service.progress(&id) {
                 Some((completed, total, cached)) => send(Frame::Progress {
                     id,
@@ -276,4 +359,86 @@ fn read_loop(service: &Service, mut reader: impl BufRead, tx: &mpsc::Sender<Fram
 
     pending.wait_for_drain();
     shutdown
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{RequestState, SubmitRequest};
+    use crate::service::{ServiceConfig, FINISHED_PROGRESS_WINDOW};
+    use ccs_sim::SimEngine;
+
+    #[test]
+    fn finished_requests_release_session_and_progress_state() {
+        let dir = std::env::temp_dir().join(format!("ccs-session-bounded-{}", std::process::id()));
+        let requests = FINISHED_PROGRESS_WINDOW + 16;
+        let service = Service::start(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            queue_capacity: requests,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let mut input = String::new();
+        for i in 0..requests {
+            let submit = Frame::Submit(SubmitRequest {
+                id: format!("r{i}"),
+                name: None,
+                workloads: vec!["mergesort".to_string()],
+                schedulers: vec!["pdf".to_string()],
+                cores: vec![2],
+                scale: 1024,
+                quick: false,
+                engine: SimEngine::EventDriven,
+                baseline: false,
+                timeout_ms: None,
+            });
+            input.push_str(&submit.to_line());
+            input.push('\n');
+        }
+
+        // At EOF the session drains: `read_loop` returns once every
+        // request has reached its terminal status.
+        let (tx, rx) = mpsc::channel();
+        let pending = PendingRequests::new();
+        assert!(!read_loop(&service, input.as_bytes(), &tx, &pending));
+        drop(tx);
+        // Ids in the order their requests finished.
+        let finished: Vec<String> = rx
+            .iter()
+            .filter_map(|frame| match frame {
+                Frame::Status {
+                    id,
+                    state: RequestState::Done,
+                    ..
+                } => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished.len(), requests);
+        let (first, last) = (&finished[0], &finished[requests - 1]);
+
+        // The session keeps no token for a finished request, and only a
+        // bounded memory of recent ids.
+        {
+            let state = pending.state.lock();
+            assert_eq!(state.count, 0);
+            assert!(state.tokens.is_empty());
+            assert_eq!(state.finished.len(), RECENTLY_FINISHED);
+        }
+        assert!(pending.cancel(last), "a just-finished id cancels quietly");
+        assert!(!pending.cancel(first), "a long-finished id is unknown");
+
+        // The service's progress book holds the finished window, no more:
+        // a just-finished id still answers, the oldest ones are gone.
+        assert_eq!(service.progress_entries(), FINISHED_PROGRESS_WINDOW);
+        assert_eq!(
+            service
+                .progress(last)
+                .map(|(completed, total, _)| (completed, total)),
+            Some((1, 1))
+        );
+        assert_eq!(service.progress(first), None);
+        drop(service);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
