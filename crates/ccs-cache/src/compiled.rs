@@ -59,6 +59,87 @@ const INVALID_TAG: u32 = u32::MAX;
 /// [`line_tag`] pre-shifts the id).
 const DIRTY_BIT: u32 = 1;
 
+/// `bit` if `stored` holds `tag` (clean or dirty), else 0.  Clearing the
+/// folded dirty bit leaves the pre-shifted id, which equals `tag` exactly
+/// on a match; the empty sentinel clears to `0xFFFF_FFFE`, above every
+/// valid tag (see [`line_tag`]).
+#[inline(always)]
+fn lane_bit(stored: u32, tag: u32, bit: u32) -> u32 {
+    if stored & !DIRTY_BIT == tag {
+        bit
+    } else {
+        0
+    }
+}
+
+/// Bit `i` set iff way `i` of `ways` (at most 64 of them) holds `tag`,
+/// clean or dirty.  The ways are compared in fixed 4-way chunks of
+/// independent compares, which LLVM lowers to one vector compare and a
+/// mask extract per chunk; a set whose size is not a multiple of four
+/// compares its last ways one by one.
+#[inline(always)]
+fn match_mask(ways: &[u32], tag: u32) -> u64 {
+    debug_assert!(ways.len() <= 64, "match masks cover at most 64 ways");
+    let mut mask = 0u64;
+    let mut i = 0;
+    while i + 4 <= ways.len() {
+        // Four independent selects of constant lane bits: the shape LLVM's
+        // SLP vectoriser turns into one compare plus `movmskps` (and,
+        // written out rather than as an iterator chain, cheap in debug
+        // builds too).
+        let nibble = lane_bit(ways[i], tag, 1)
+            | lane_bit(ways[i + 1], tag, 2)
+            | lane_bit(ways[i + 2], tag, 4)
+            | lane_bit(ways[i + 3], tag, 8);
+        mask |= u64::from(nibble) << i;
+        i += 4;
+    }
+    while i < ways.len() {
+        mask |= u64::from(lane_bit(ways[i], tag, 1)) << i;
+        i += 1;
+    }
+    mask
+}
+
+/// Position of `tag` within `set` (0 = MRU), if resident.  Sets of up to
+/// 64 ways take the lowest bit of the [`match_mask`]; wider sets fall back
+/// to a scalar first-match scan.  A line is resident in at most one way,
+/// so either answer is the only match.
+#[inline(always)]
+fn find_pos(set: &[u32], tag: u32) -> Option<usize> {
+    if set.len() <= 64 {
+        let mask = match_mask(set, tag);
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
+    } else {
+        set.iter().position(|&stored| stored & !DIRTY_BIT == tag)
+    }
+}
+
+/// Move-to-front probe of one set: one shift of `ways[0..end]` down a
+/// place, where `end` is the probed tag's position on a hit and the last
+/// way on a miss, then the tag (dirty if `dirty`, or if its old copy was)
+/// is installed at the MRU way.  Returns whether the probe hit and the
+/// way the shift dropped (on a miss, `INVALID_TAG` when the set had a
+/// free way).
+///
+/// Empty ways are always the suffix of the set, so shifting the whole
+/// set and dropping the last way leaves exactly the array that rippling
+/// down to the first empty way would: the ways past it were empty before
+/// and are empty after, and the dropped way is empty (no eviction)
+/// exactly when the set had a free way.
+#[inline(always)]
+fn move_to_front(ways: &mut [u32], tag: u32, dirty: bool) -> (bool, u32) {
+    let pos = find_pos(ways, tag);
+    let end = pos.unwrap_or(ways.len() - 1);
+    let dropped = ways[end];
+    ways.copy_within(..end, 1);
+    ways[0] = match pos {
+        Some(_) => tag | dirty as u32 | (dropped & DIRTY_BIT),
+        None => tag | dirty as u32,
+    };
+    (pos.is_some(), dropped)
+}
+
 /// A set-associative, true-LRU, write-back cache probed by `(set, u32
 /// tag)` instead of by address — the id-native twin of
 /// [`SetAssocCache`](crate::SetAssocCache) (see the module docs).
@@ -120,74 +201,24 @@ impl CompiledCache {
         set as usize * self.assoc
     }
 
-    /// Position of `tag` within its set (0 = MRU), if resident.  MRU way
-    /// first — re-touches of the most recent line are the most common
-    /// probe — then a **first-match, early-exit** scan: a line is resident
-    /// in at most one way, so the first match is the only match, the
-    /// average hit scans half the set, and the branchy exit keeps LLVM
-    /// from auto-vectorising the loop into an index-tracking reduction
-    /// (measured as a net loss at 4–32 ways: the vector prologue, blends
-    /// and horizontal max cost more than the 3–31 scalar compares they
-    /// replace).
+    /// Move-to-front probe of `set` (see [`move_to_front`]), recording a
+    /// miss's eviction of a resident line.  Returns whether it hit.
     #[inline(always)]
-    fn find_pos(&self, base: usize, tag: u32) -> Option<usize> {
-        let set = &self.tags[base..base + self.assoc];
-        // `stored ^ tag` is 0 or DIRTY_BIT on a match (tags have bit 0
-        // clear) and > DIRTY_BIT on a mismatch: distinct pre-shifted ids
-        // differ above bit 0, and the empty sentinel keeps bit 1 set
-        // against any 31-bit pre-shifted id.
-        if set[0] ^ tag <= DIRTY_BIT {
-            return Some(0);
-        }
-        set.iter()
-            .skip(1)
-            .position(|&stored| stored ^ tag <= DIRTY_BIT)
-            .map(|i| i + 1)
-    }
-
-    /// One-pass move-to-front probe: install `new_front` at the MRU way
-    /// and ripple the previous occupants down until the probed tag's old
-    /// copy (a hit — its position is the ripple's length), an empty way
-    /// (a miss with a free way), or the end of the set (a miss evicting
-    /// the rippled-out LRU way).
-    ///
-    /// This fuses the two passes a find-then-rotate probe makes over the
-    /// set (`find_pos` + `touch`/`allocate_front`): a hit at position `j`
-    /// still touches `j + 1` ways, but a **miss** touches each way once
-    /// instead of twice — and misses dominate the L2 traffic of the
-    /// sweeps this simulator exists for.  Returns `Some(old stored tag)`
-    /// on a hit (so the caller can fold its dirty bit forward), `None` on
-    /// a miss; on an evicting miss the eviction is recorded.
-    ///
-    /// The caller must already have handled the MRU way (`ways[0]`).
-    #[inline(always)]
-    fn ripple_insert(&mut self, base: usize, tag: u32, new_front: u32) -> Option<u32> {
+    fn insert_front(&mut self, base: usize, tag: u32, dirty: bool) -> bool {
         let ways = &mut self.tags[base..base + self.assoc];
-        let mut prev = ways[0];
-        ways[0] = new_front;
-        let mut i = 1;
-        while i < ways.len() {
-            let cur = ways[i];
-            ways[i] = prev;
-            if cur ^ tag <= DIRTY_BIT {
-                // Hit: the line's old copy leaves position `i`, its
-                // more-recent neighbours have all shifted down one.
-                return Some(cur);
-            }
-            if cur == INVALID_TAG {
-                // Miss into the empty suffix: the ripple consumed one
-                // empty way and the suffix invariant still holds.
-                return None;
-            }
-            prev = cur;
-            i += 1;
+        // Every scaled design point's L1, and most of its L2s and L3s, is
+        // 16-way (the area model's associativity floor).  At that fixed
+        // length LLVM unrolls the mask and inlines the 60-byte shift of a
+        // miss instead of calling `memmove`; other lengths take the
+        // generic path (a 20-way twin measured no faster).
+        let (hit, dropped) = match <&mut [u32; 16]>::try_from(&mut *ways) {
+            Ok(set) => move_to_front(set, tag, dirty),
+            Err(_) => move_to_front(ways, tag, dirty),
+        };
+        if !hit && dropped != INVALID_TAG {
+            self.stats.record_eviction(dropped & DIRTY_BIT != 0);
         }
-        // Miss, full set: `prev` rippled out of the last way.  It can
-        // only be the empty sentinel when the set is 1-way and was empty.
-        if prev != INVALID_TAG {
-            self.stats.record_eviction(prev & DIRTY_BIT != 0);
-        }
-        None
+        hit
     }
 
     /// Probe the cache: returns whether the line was resident, touching
@@ -201,25 +232,16 @@ impl CompiledCache {
         debug_assert_eq!(tag & DIRTY_BIT, 0, "tag must be pre-shifted (line_tag)");
         let base = self.set_base(set);
         // MRU fast path: re-touches of the most recent line are the most
-        // common probe, and neither reorder the set nor ripple anything.
+        // common probe, and neither reorder the set nor shift anything.
         let front = self.tags[base];
-        if front ^ tag <= DIRTY_BIT {
+        let hit = if front ^ tag <= DIRTY_BIT {
             self.tags[base] = front | is_write as u32;
-            self.stats.record(true, is_write);
-            return true;
-        }
-        match self.ripple_insert(base, tag, tag | is_write as u32) {
-            Some(old) => {
-                // Fold the hit way's dirty bit forward.
-                self.tags[base] |= old & DIRTY_BIT;
-                self.stats.record(true, is_write);
-                true
-            }
-            None => {
-                self.stats.record(false, is_write);
-                false
-            }
-        }
+            true
+        } else {
+            self.insert_front(base, tag, is_write)
+        };
+        self.stats.record(hit, is_write);
+        hit
     }
 
     /// Insert a line (e.g. a fill returning from the next level) without
@@ -236,9 +258,7 @@ impl CompiledCache {
             self.tags[base] = front | dirty as u32;
             return;
         }
-        if let Some(old) = self.ripple_insert(base, tag, tag | dirty as u32) {
-            self.tags[base] |= old & DIRTY_BIT;
-        }
+        self.insert_front(base, tag, dirty);
     }
 
     /// Record a *filtered* read hit: the caller has proved (e.g. via a
@@ -255,7 +275,8 @@ impl CompiledCache {
     /// statistics).
     #[inline]
     pub fn contains_compiled(&self, set: u32, tag: u32) -> bool {
-        self.find_pos(self.set_base(set), tag).is_some()
+        let base = self.set_base(set);
+        find_pos(&self.tags[base..base + self.assoc], tag).is_some()
     }
 
     /// Invalidate a line if present; returns `true` if it was present and
@@ -265,12 +286,12 @@ impl CompiledCache {
     pub fn invalidate_compiled(&mut self, set: u32, tag: u32) -> bool {
         debug_assert_eq!(tag & DIRTY_BIT, 0, "tag must be pre-shifted (line_tag)");
         let base = self.set_base(set);
-        match self.find_pos(base, tag) {
+        let ways = &mut self.tags[base..base + self.assoc];
+        match find_pos(ways, tag) {
             Some(pos) => {
-                let was_dirty = self.tags[base + pos] & DIRTY_BIT != 0;
-                let last = base + self.assoc - 1;
-                self.tags.copy_within(base + pos + 1..last + 1, base + pos);
-                self.tags[last] = INVALID_TAG;
+                let was_dirty = ways[pos] & DIRTY_BIT != 0;
+                ways.copy_within(pos + 1.., pos);
+                ways[self.assoc - 1] = INVALID_TAG;
                 was_dirty
             }
             None => false,
@@ -371,52 +392,98 @@ mod tests {
         assert_eq!(c.stats().misses, before.misses);
     }
 
-    /// Statistics lockstep with the address-keyed model: a mixed random
-    /// probe/fill/invalidate sequence over a shared geometry must leave
-    /// identical counters in both caches.
+    /// Lockstep with the address-keyed model: a seeded mix of probes
+    /// (reads and dirtying writes), fills, invalidations and residency
+    /// queries must agree on every hit/miss and invalidation result and on
+    /// the statistics (so every eviction and write-back) after every
+    /// operation, and leave the same way array.  The associativities cover
+    /// every 4-way chunk remainder of the match mask, the 64-way mask
+    /// limit and the scalar fallback past it; invalidation-heavy phases
+    /// keep sets partially empty.
     #[test]
     fn lockstep_with_setassoc() {
-        let cfg = CacheConfig::new(8 * 64, 64, 4, 1); // 2 sets, 4-way
+        for assoc in [1u32, 2, 3, 4, 16, 18, 20, 31, 64, 65, 81] {
+            for num_sets in [1u64, 2, 3] {
+                lockstep(num_sets, assoc, 0x2545_F491_4F6C_DD1D ^ u64::from(assoc));
+            }
+        }
+    }
+
+    fn lockstep(num_sets: u64, assoc: u32, seed: u64) {
+        let cfg = CacheConfig::new(num_sets * u64::from(assoc) * 64, 64, assoc, 1);
         let mut addr_keyed = SetAssocCache::new(cfg);
         let mut compiled = CompiledCache::new(cfg.num_sets(), cfg.associativity);
-        // Line id i <-> line address i * 64; set = i % 2.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for _ in 0..4096 {
+        // Line id i <-> line address i * 64; set = i % num_sets.  Half
+        // again as many lines as ways, so full sets evict.
+        let lines = num_sets * u64::from(assoc) * 3 / 2 + 1;
+        let mut state = seed;
+        let mut partially_empty = false;
+        for step in 0..4096u32 {
             // xorshift64* keeps the sequence deterministic and shim-free.
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
             let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let id = (r % 13) as u32;
-            let line = id as u64 * 64;
-            let (set, tag) = ((id % 2), line_tag(id));
-            match (r >> 32) % 4 {
+            let id = ((r >> 8) % lines) as u32;
+            let line = u64::from(id) * 64;
+            let (set, tag) = (id % num_sets as u32, line_tag(id));
+            let write = r & 1 != 0;
+            // Phases of 512 operations: probe-heavy, fill-heavy, then
+            // invalidation-heavy (which leaves sets partially empty).
+            let op = match ((step / 512) % 3, (r >> 40) % 8) {
+                (0, 0..=5) | (1, 0..=2) | (2, 0..=2) => 0,
+                (0, 6) | (1, 3..=6) | (2, 3) => 1,
+                (0, _) | (1, _) | (2, 4..=6) => 2,
+                _ => 3,
+            };
+            let what = format!("{assoc}-way, {num_sets} sets, step {step}, op {op}, id {id}");
+            match op {
                 0 => {
-                    let kind = if r & 1 == 0 {
-                        AccessKind::Read
-                    } else {
+                    let kind = if write {
                         AccessKind::Write
+                    } else {
+                        AccessKind::Read
                     };
                     let hit = addr_keyed.access_line(line, kind).hit;
-                    assert_eq!(compiled.access_compiled(set, tag, r & 1 != 0), hit);
+                    assert_eq!(compiled.access_compiled(set, tag, write), hit, "{what}");
                 }
                 1 => {
-                    addr_keyed.fill_line(line, r & 2 != 0);
-                    compiled.fill_compiled(set, tag, r & 2 != 0);
+                    addr_keyed.fill_line(line, write);
+                    compiled.fill_compiled(set, tag, write);
                 }
                 2 => {
                     let dirty = addr_keyed.invalidate_line(line);
-                    assert_eq!(compiled.invalidate_compiled(set, tag), dirty);
+                    assert_eq!(compiled.invalidate_compiled(set, tag), dirty, "{what}");
                 }
                 _ => {
                     assert_eq!(
                         addr_keyed.contains_line(line),
-                        compiled.contains_compiled(set, tag)
+                        compiled.contains_compiled(set, tag),
+                        "{what}"
                     );
                 }
             }
+            assert_eq!(*addr_keyed.stats(), *compiled.stats(), "{what}");
+            let resident = compiled.resident_lines() as u64;
+            partially_empty |= resident > 0 && resident < num_sets * u64::from(assoc);
         }
-        assert_eq!(*addr_keyed.stats(), *compiled.stats());
+        let expected: Vec<u32> = addr_keyed
+            .ways()
+            .iter()
+            .map(|&way| match way {
+                u64::MAX => INVALID_TAG,
+                way => line_tag((way / 64) as u32) | (way & 1) as u32,
+            })
+            .collect();
+        assert_eq!(compiled.tags, expected, "{assoc}-way, {num_sets} sets");
         assert_eq!(addr_keyed.resident_lines(), compiled.resident_lines());
+        assert!(
+            compiled.stats().evictions > 0 && compiled.stats().writebacks > 0,
+            "{assoc}-way, {num_sets} sets: the mix must evict dirty lines"
+        );
+        assert!(
+            partially_empty || num_sets * u64::from(assoc) == 1,
+            "{assoc}-way, {num_sets} sets: the mix must leave the cache partly empty"
+        );
     }
 }

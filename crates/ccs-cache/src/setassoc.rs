@@ -181,6 +181,13 @@ impl SetAssocCache {
         self.lines.iter().filter(|&&t| t != INVALID_LINE).count()
     }
 
+    /// The way array (`line | dirty` per way, each set MRU→LRU, empty ways
+    /// `u64::MAX`), for lockstep tests against the compiled cache.
+    #[cfg(test)]
+    pub(crate) fn ways(&self) -> &[u64] {
+        &self.lines
+    }
+
     /// Probe the cache with the line containing `addr`.
     pub fn access_addr(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         let line = self.config.line_of(addr);

@@ -1,4 +1,4 @@
-//! Process-global cache of built workload computations.
+//! Cache of built workload computations, shared process-wide by default.
 //!
 //! Registry workloads are **deterministic** functions of `(spec label,
 //! scale, scaled L2 capacity, cores)` — PR 4 exploited that *within* one
@@ -26,7 +26,7 @@
 //! oldest-used entries instead of accumulating gigabytes.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ccs_dag::{Computation, Dag};
 
@@ -51,93 +51,127 @@ struct Entry {
 /// determinism contract the per-run map of PR 4 relied on.
 type Key = (String, u64, u64, usize);
 
+/// A bounded, least-recently-used cache of built computations.  The
+/// experiment layer shares one process default ([`BuildCache::global`],
+/// reached through the free functions of this module); private instances
+/// keep tests and embedders independent of it.
 #[derive(Default)]
-struct BuildCache {
+pub struct BuildCache {
+    inner: Mutex<Entries>,
+}
+
+#[derive(Default)]
+struct Entries {
     entries: HashMap<Key, Entry>,
     tick: u64,
 }
 
-fn cache() -> &'static Mutex<BuildCache> {
-    static CACHE: OnceLock<Mutex<BuildCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BuildCache::default()))
+impl BuildCache {
+    /// An empty cache.
+    pub fn new() -> BuildCache {
+        BuildCache::default()
+    }
+
+    /// The process default every [`Experiment`](crate::Experiment) uses.
+    pub fn global() -> &'static BuildCache {
+        static CACHE: OnceLock<BuildCache> = OnceLock::new();
+        CACHE.get_or_init(BuildCache::new)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Fetch the shared build for `key`, building it with `build` on a
+    /// miss.
+    ///
+    /// The builder runs *outside* the cache lock, so concurrent sweep
+    /// points (`Experiment::parallelism`) never serialise on each other's
+    /// builds; if two threads race on the same key the first inserted
+    /// entry wins and the loser's duplicate is dropped (builders are pure,
+    /// so both are identical).
+    pub(crate) fn get_or_build(
+        &self,
+        key: Key,
+        build: impl FnOnce() -> (Arc<Computation>, Arc<Dag>),
+    ) -> Arc<(Arc<Computation>, Arc<Dag>)> {
+        {
+            let mut cache = self.lock();
+            cache.tick += 1;
+            let tick = cache.tick;
+            if let Some(entry) = cache.entries.get_mut(&key) {
+                entry.last_used = tick;
+                return Arc::clone(&entry.built);
+            }
+        }
+        let (comp, dag) = build();
+        let bytes = comp.trace_arena_bytes() + dag.heap_bytes();
+        let built = Arc::new((comp, dag));
+        let mut cache = self.lock();
+        cache.tick += 1;
+        let tick = cache.tick;
+        if let Some(entry) = cache.entries.get_mut(&key) {
+            // Lost a build race: share the winner.
+            entry.last_used = tick;
+            return Arc::clone(&entry.built);
+        }
+        cache.entries.insert(
+            key,
+            Entry {
+                built: Arc::clone(&built),
+                bytes,
+                last_used: tick,
+            },
+        );
+        // Enforce the budget, never evicting the entry just inserted.
+        let mut total: u64 = cache.entries.values().map(|e| e.bytes).sum();
+        while total > BUDGET_BYTES && cache.entries.len() > 1 {
+            let oldest = cache
+                .entries
+                .iter()
+                .filter(|(_, e)| e.last_used != tick)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            match oldest {
+                Some(k) => {
+                    if let Some(evicted) = cache.entries.remove(&k) {
+                        total -= evicted.bytes;
+                    }
+                }
+                None => break,
+            }
+        }
+        built
+    }
+
+    /// Number of builds currently cached.
+    pub fn cached_builds(&self) -> usize {
+        self.lock().entries.len()
+    }
+
+    /// Drop every cached build.
+    pub fn clear(&self) {
+        self.lock().entries.clear();
+    }
 }
 
-/// Fetch the shared build for `key`, building it with `build` on a miss.
-///
-/// The builder runs *outside* the cache lock, so concurrent sweep points
-/// (`Experiment::parallelism`) never serialise on each other's builds; if
-/// two threads race on the same key the first inserted entry wins and the
-/// loser's duplicate is dropped (builders are pure, so both are
-/// identical).
+/// [`BuildCache::get_or_build`] on the process default.
 pub(crate) fn get_or_build(
     key: Key,
     build: impl FnOnce() -> (Arc<Computation>, Arc<Dag>),
 ) -> Arc<(Arc<Computation>, Arc<Dag>)> {
-    {
-        let mut cache = cache().lock().unwrap_or_else(|e| e.into_inner());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(entry) = cache.entries.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.built);
-        }
-    }
-    let (comp, dag) = build();
-    let bytes = comp.trace_arena_bytes() + dag.heap_bytes();
-    let built = Arc::new((comp, dag));
-    let mut cache = cache().lock().unwrap_or_else(|e| e.into_inner());
-    cache.tick += 1;
-    let tick = cache.tick;
-    if let Some(entry) = cache.entries.get_mut(&key) {
-        // Lost a build race: share the winner.
-        entry.last_used = tick;
-        return Arc::clone(&entry.built);
-    }
-    cache.entries.insert(
-        key,
-        Entry {
-            built: Arc::clone(&built),
-            bytes,
-            last_used: tick,
-        },
-    );
-    // Enforce the budget, never evicting the entry just inserted.
-    let mut total: u64 = cache.entries.values().map(|e| e.bytes).sum();
-    while total > BUDGET_BYTES && cache.entries.len() > 1 {
-        let oldest = cache
-            .entries
-            .iter()
-            .filter(|(_, e)| e.last_used != tick)
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone());
-        match oldest {
-            Some(k) => {
-                if let Some(evicted) = cache.entries.remove(&k) {
-                    total -= evicted.bytes;
-                }
-            }
-            None => break,
-        }
-    }
-    built
+    BuildCache::global().get_or_build(key, build)
 }
 
-/// Number of builds currently cached (diagnostics/tests).
+/// Number of builds in the process default (diagnostics/tests).
 pub fn cached_builds() -> usize {
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entries
-        .len()
+    BuildCache::global().cached_builds()
 }
 
-/// Drop every cached build (tests, or to release memory mid-process).
+/// Drop every build of the process default (tests, or to release memory
+/// mid-process).
 pub fn clear() {
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .entries
-        .clear();
+    BuildCache::global().clear();
 }
 
 #[cfg(test)]
@@ -157,33 +191,45 @@ mod tests {
 
     #[test]
     fn second_lookup_shares_the_first_build() {
-        clear();
+        let cache = BuildCache::new();
         let calls = AtomicUsize::new(0);
         let key = ("bc-test-a".to_string(), 1, 1024, 2);
-        let a = get_or_build(key.clone(), || {
+        let a = cache.get_or_build(key.clone(), || {
             calls.fetch_add(1, Ordering::SeqCst);
             tiny(5)
         });
-        let b = get_or_build(key, || {
+        let b = cache.get_or_build(key, || {
             calls.fetch_add(1, Ordering::SeqCst);
             tiny(5)
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "second lookup is a hit");
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(cached_builds() >= 1);
-        clear();
-        assert_eq!(cached_builds(), 0);
+        assert_eq!(cache.cached_builds(), 1);
+        cache.clear();
+        assert_eq!(cache.cached_builds(), 0);
     }
 
     #[test]
     fn distinct_keys_build_separately() {
-        clear();
-        let a = get_or_build(("bc-test-b".into(), 1, 1024, 2), || tiny(5));
-        let b = get_or_build(("bc-test-b".into(), 1, 2048, 2), || tiny(5));
+        let cache = BuildCache::new();
+        let a = cache.get_or_build(("bc-test-b".into(), 1, 1024, 2), || tiny(5));
+        let b = cache.get_or_build(("bc-test-b".into(), 1, 2048, 2), || tiny(5));
         assert!(
             !Arc::ptr_eq(&a, &b),
             "different L2 capacity, different build"
         );
-        clear();
+        assert_eq!(cache.cached_builds(), 2);
+    }
+
+    /// Instances are independent of each other and of the process default.
+    #[test]
+    fn instances_do_not_share_builds() {
+        let (one, two) = (BuildCache::new(), BuildCache::new());
+        let key = ("bc-test-c".to_string(), 1, 1024, 2);
+        let a = one.get_or_build(key.clone(), || tiny(5));
+        let b = two.get_or_build(key, || tiny(5));
+        assert!(!Arc::ptr_eq(&a, &b));
+        one.clear();
+        assert_eq!((one.cached_builds(), two.cached_builds()), (0, 1));
     }
 }

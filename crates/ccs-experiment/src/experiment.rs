@@ -14,7 +14,7 @@ use ccs_dag::Dag;
 use ccs_runtime::{join, Policy, ThreadPool};
 use ccs_sched::spec::{format_spec, parse_spec, SpecParseError};
 use ccs_sched::SchedulerSpec;
-use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine};
+use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine, SimResult};
 use ccs_workloads::{Benchmark, BuildCtx, UnknownWorkload, WorkloadRegistry};
 
 use crate::report::{Report, RunRecord};
@@ -28,6 +28,29 @@ pub fn effective_scale(scale: u64, quick: bool) -> u64 {
     } else {
         scale
     }
+}
+
+/// The 1-core sequential-baseline twin of a scaled design point: PDF runs
+/// it for `speedup_over_seq`.
+fn seq_config(scaled: &CmpConfig) -> CmpConfig {
+    let mut seq_cfg = scaled.clone();
+    seq_cfg.num_cores = 1;
+    // A single core cannot be partitioned into >1 L2 clusters.
+    seq_cfg.clusters = 1;
+    seq_cfg.name = format!("{}-seq", scaled.name);
+    seq_cfg
+}
+
+/// Index of the scheduler whose run on `scaled` already *is* its
+/// sequential baseline: a 1-core, 1-cluster point's twin differs only in
+/// its name, so the point's plain `pdf` run simulates the same machine,
+/// and `speedup_over_seq` reads nothing but its cycles.
+fn seq_twin(scaled: &CmpConfig, schedulers: &[SchedulerSpec]) -> Option<usize> {
+    if scaled.num_cores != 1 || scaled.clusters != 1 {
+        return None;
+    }
+    let pdf = SchedulerSpec::new("pdf");
+    schedulers.iter().position(|spec| *spec == pdf)
 }
 
 /// Geometry prebuild for one (already scaled) design point: compile the
@@ -574,27 +597,33 @@ impl Experiment {
         let trace_bytes = comp.trace_arena_bytes();
         let peak_alloc_estimate =
             trace_bytes + stream.heap_bytes() + lanes_bytes + dag.heap_bytes();
-        let sequential = self.baseline.then(|| {
-            let mut seq_cfg = scaled.clone();
-            seq_cfg.num_cores = 1;
-            // A single core cannot be partitioned into >1 L2 clusters.
-            seq_cfg.clusters = 1;
-            seq_cfg.name = format!("{}-seq", scaled.name);
+        let results: Vec<SimResult> = schedulers
+            .iter()
+            .map(|spec| {
+                let mut sched = spec.build();
+                simulate_with_engine(comp, dag, &scaled, sched.as_mut(), self.engine)
+            })
+            .collect();
+        let reused = self
+            .baseline
+            .then(|| seq_twin(&scaled, &schedulers).map(|i| &results[i]))
+            .flatten();
+        let own_sequential = (self.baseline && reused.is_none()).then(|| {
             let mut sched = SchedulerSpec::new("pdf").build();
-            simulate_with_engine(comp, dag, &seq_cfg, sched.as_mut(), self.engine)
+            simulate_with_engine(comp, dag, &seq_config(&scaled), sched.as_mut(), self.engine)
         });
+        let sequential = reused.or(own_sequential.as_ref());
         schedulers
             .iter()
+            .zip(&results)
             .enumerate()
-            .map(|(i, spec)| {
-                let mut sched = spec.build();
-                let result = simulate_with_engine(comp, dag, &scaled, sched.as_mut(), self.engine);
+            .map(|(i, (spec, result))| {
                 // The compile was paid once for the whole point; charge
                 // it to the point's first record only, so summing
                 // `compile_ms` over a report yields the true total
                 // rather than one copy per scheduler.
                 let record_compile_ms = if i == 0 { compile_ms } else { 0.0 };
-                RunRecord::from_sim(point.workload.label(), spec, &result, sequential.as_ref())
+                RunRecord::from_sim(point.workload.label(), spec, result, sequential)
                     .with_footprint(trace_bytes, peak_alloc_estimate)
                     .with_compile_ms(record_compile_ms)
             })
@@ -683,27 +712,23 @@ impl Experiment {
         let trace_bytes = comp.trace_arena_bytes();
         let peak_alloc_estimate =
             trace_bytes + stream.heap_bytes() + lanes_bytes + dag.heap_bytes();
-        // The sequential baselines differ only in latencies too, so they
-        // form their own (1-core, hence replayable) batch.
-        let sequentials = self.baseline.then(|| {
-            let seq_configs: Vec<CmpConfig> = scaled_configs
-                .iter()
-                .map(|scaled| {
-                    let mut seq_cfg = scaled.clone();
-                    seq_cfg.num_cores = 1;
-                    // A single core cannot be partitioned into >1 clusters.
-                    seq_cfg.clusters = 1;
-                    seq_cfg.name = format!("{}-seq", scaled.name);
-                    seq_cfg
-                })
-                .collect();
-            simulate_batch(comp, dag, &seq_configs, &SchedulerSpec::new("pdf")).results
-        });
         // One batched pass per scheduler over the whole group.
-        let per_sched: Vec<Vec<ccs_sim::SimResult>> = schedulers
+        let per_sched: Vec<Vec<SimResult>> = schedulers
             .iter()
             .map(|spec| simulate_batch(comp, dag, &scaled_configs, spec).results)
             .collect();
+        // The sequential baselines differ only in latencies too, so they
+        // form their own (1-core, hence replayable) batch — unless the
+        // group is single-core and already ran its PDF pass.
+        let reused = self
+            .baseline
+            .then(|| seq_twin(shape, &schedulers).map(|i| &per_sched[i]))
+            .flatten();
+        let own_sequentials = (self.baseline && reused.is_none()).then(|| {
+            let seq_configs: Vec<CmpConfig> = scaled_configs.iter().map(seq_config).collect();
+            simulate_batch(comp, dag, &seq_configs, &SchedulerSpec::new("pdf")).results
+        });
+        let sequentials = reused.or(own_sequentials.as_ref());
         let width = points.len() as u64;
         points
             .iter()
@@ -713,7 +738,7 @@ impl Experiment {
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
-                        let sequential = sequentials.as_ref().map(|seqs| &seqs[j]);
+                        let sequential = sequentials.map(|seqs| &seqs[j]);
                         // As in `run_sweep_point`: the compile was paid once,
                         // here for the whole group.
                         let record_compile_ms = if i == 0 && j == 0 { compile_ms } else { 0.0 };
@@ -937,6 +962,46 @@ mod tests {
             .sequential_baseline(false)
             .run();
         assert!(report.records.iter().all(|r| r.speedup_over_seq.is_none()));
+    }
+
+    /// A 1-core point reuses its `pdf` run as the sequential baseline;
+    /// the speedups must be exactly those of a separately simulated
+    /// baseline, on every engine and with or without `pdf` in the sweep.
+    #[test]
+    fn one_core_points_reuse_the_pdf_run_as_baseline() {
+        let exp = Experiment::new(tiny_fixed_workload())
+            .configs([
+                CmpConfig::default_with_cores(1).unwrap(),
+                CmpConfig::default_with_cores(1)
+                    .unwrap()
+                    .with_memory_latency(900),
+            ])
+            .scale(64);
+        let scaled = CmpConfig::default_with_cores(1).unwrap().scaled(64);
+        let comp = tiny_fixed_workload().build(64, scaled.l2.capacity, 1);
+        let seq = ccs_sim::simulate(&comp, &seq_config(&scaled), "pdf");
+        for engine in [SimEngine::EventDriven, SimEngine::Batch] {
+            let report = exp
+                .clone()
+                .engine(engine)
+                .schedulers([SchedulerKind::WorkStealing, SchedulerKind::Pdf])
+                .run();
+            let pdf = &report.records[1];
+            assert_eq!(pdf.scheduler, "pdf");
+            assert_eq!(pdf.speedup_over_seq, Some(1.0), "{engine}");
+            let ws = &report.records[0];
+            assert_eq!(
+                ws.speedup_over_seq,
+                Some(seq.cycles as f64 / ws.cycles as f64),
+                "{engine}"
+            );
+            let ws_only = exp
+                .clone()
+                .engine(engine)
+                .scheduler(SchedulerKind::WorkStealing)
+                .run();
+            assert_eq!(ws_only.records[0], report.records[0], "{engine}");
+        }
     }
 
     #[test]

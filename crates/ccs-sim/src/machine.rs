@@ -241,6 +241,103 @@ impl Core {
     }
 }
 
+/// The event engine's pending-event min-heap, one event per busy core.
+///
+/// An event `(time, core)` is packed into one `u64` key, `(time <<
+/// core_bits) | core`, with `core_bits` just wide enough for the largest
+/// core id, so the lexicographic `(time, core)` order of the reference is
+/// a single integer compare.  A time that does not fit above the core
+/// bits panics when it is keyed (see [`EventQueue::key`]) — it is never
+/// wrapped into a misordered key.
+///
+/// The core at the top keeps its (stale) key there for its whole inline
+/// run: it parks by re-keying the top in place ([`EventQueue::park_top`],
+/// one sift-down) and leaves the heap only when its task completes
+/// ([`EventQueue::pop_top`]).
+struct EventQueue {
+    heap: BinaryHeap<Reverse<u64>>,
+    core_bits: u32,
+}
+
+impl EventQueue {
+    fn new(p: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(p),
+            core_bits: usize::BITS - (p - 1).leading_zeros(),
+        }
+    }
+
+    /// The largest simulated time a key can hold.
+    fn max_time(&self) -> u64 {
+        u64::MAX >> self.core_bits
+    }
+
+    /// The packed key of `(time, core)`.
+    ///
+    /// # Panics
+    /// Panics when `time` exceeds [`EventQueue::max_time`].
+    fn key(&self, time: u64, core: usize) -> u64 {
+        assert!(
+            time <= self.max_time(),
+            "simulated time {time} exceeds the event-key limit {} ({} core bits)",
+            self.max_time(),
+            self.core_bits
+        );
+        (time << self.core_bits) | core as u64
+    }
+
+    fn push(&mut self, time: u64, core: usize) {
+        let key = self.key(time, core);
+        self.heap.push(Reverse(key));
+    }
+
+    /// The earliest pending event, unpacked.
+    fn top(&self) -> Option<(u64, usize)> {
+        self.heap.peek().map(|&Reverse(key)| self.unpack(key))
+    }
+
+    fn unpack(&self, key: u64) -> (u64, usize) {
+        let core = key & ((1u64 << self.core_bits) - 1);
+        (key >> self.core_bits, core as usize)
+    }
+
+    /// The earliest time at which the top event's core, `core`, no longer
+    /// sorts first: the smaller of the root's two children is the earliest
+    /// *other* event `(t, c)`, and `core` yields to it from time `t` on if
+    /// `c < core`, from `t + 1` on otherwise.  `u64::MAX` when no other
+    /// event is pending.
+    ///
+    /// Other keys cannot move while the top core runs (other cores only
+    /// change when they are stepped), so one bound serves the whole run.
+    /// It never exceeds `max_time() + 1`, so a run whose time outgrows
+    /// the key yields and panics in [`EventQueue::park_top`] instead of
+    /// running on.
+    fn yield_at(&self, core: usize) -> u64 {
+        let heap = self.heap.as_slice();
+        let children = &heap[heap.len().min(1)..heap.len().min(3)];
+        match children.iter().map(|&Reverse(key)| key).min() {
+            Some(other) => {
+                let (time, other_core) = self.unpack(other);
+                time + (other_core > core) as u64
+            }
+            None => u64::MAX,
+        }
+    }
+
+    /// Re-key the top event (the running core) to `time` in place: one
+    /// sift-down instead of a pop and a push.
+    fn park_top(&mut self, time: u64, core: usize) {
+        let key = self.key(time, core);
+        let mut top = self.heap.peek_mut().expect("parking core is at the top");
+        top.0 = key;
+    }
+
+    /// Remove the top event (the running core's task completed).
+    fn pop_top(&mut self) {
+        self.heap.pop();
+    }
+}
+
 /// Run `comp` on the CMP described by `config` under the selected scheduler,
 /// using the default (event-driven) engine.
 ///
@@ -300,17 +397,18 @@ pub fn simulate_with_engine(
 ///
 /// Ordering invariant: micro-steps are applied in exactly the ascending
 /// `(time, core)` order of the reference cycle-stepper.  Pending events
-/// live in a `(time, core)` min-heap that is touched once per *park*, not
-/// once per micro-step, and the heap top after each pop is the earliest
-/// *other* pending event — which makes the continuation check a single
-/// comparison: the running core keeps stepping inline while
-/// `(core.time, core_id)` sorts before that frozen top, which cannot
-/// change while the core runs (other cores only mutate state when they
-/// themselves are stepped).  That is precisely the condition under which
-/// the reference would pop this same continuation event next, so shared
-/// state (L2, memory controller, remote-L1 invalidations) is touched in an
-/// identical sequence and the two engines are metrics-identical by
-/// construction.
+/// live in an [`EventQueue`] (a min-heap of packed `(time, core)` keys)
+/// that is touched once per *park* or task, not once per micro-step.  The
+/// running core stays at the heap top, and the smaller of the top's
+/// children is the earliest *other* pending event — which makes the
+/// continuation check a single comparison: the running core keeps
+/// stepping inline while `(core.time, core_id)` sorts before that frozen
+/// event, which cannot change while the core runs (other cores only
+/// mutate state when they themselves are stepped).  That is precisely the
+/// condition under which the reference would pop this same continuation
+/// event next, so shared state (L2, memory controller, remote-L1
+/// invalidations) is touched in an identical sequence and the two engines
+/// are metrics-identical by construction.
 ///
 /// Traces are consumed through the computation's precompiled
 /// [`LineStream`]: each core walks a contiguous `u32` window of
@@ -431,7 +529,9 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         .map(|_| CompiledCache::new(config.l1.num_sets(), config.l1.associativity))
         .collect();
     // One L2 per cluster (`clusters == 1` is the paper's single shared L2);
-    // a core probes the L2 of cluster `core_id / cores_per_cluster`.
+    // a core probes the L2 of cluster `core_id / cores_per_cluster`, looked
+    // up in a per-core table so no inline run pays a division.
+    let cluster_of: Vec<usize> = (0..p).map(|core| core / cores_per_cluster).collect();
     let mut l2s: Vec<CompiledCache> = (0..clusters)
         .map(|_| CompiledCache::new(config.l2.num_sets(), config.l2.associativity))
         .collect();
@@ -492,12 +592,13 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         sched.task_enabled(r, None);
     }
 
-    // Pending events, keyed by `(time, core)` for deterministic ordering —
-    // the same min-heap discipline as the reference, but pushed/popped once
-    // per *park* (a blocked miss or a lost yield race), not once per
-    // micro-step, so heap traffic is orders of magnitude lower.  Idle cores
-    // are tracked separately and woken on completions.
-    let mut active: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(p + 1);
+    // Pending events, ordered by `(time, core)` for deterministic ordering
+    // — the same min-heap discipline as the reference, but re-keyed once
+    // per *park* (a blocked miss or a lost yield race) and popped once per
+    // task, not once per micro-step, so heap traffic is orders of
+    // magnitude lower.  Idle cores are tracked separately and woken on
+    // completions.
+    let mut events = EventQueue::new(p);
     let mut idle: Vec<usize> = Vec::new();
 
     // Dispatch as much ready work as possible at `now`.  `first` is the
@@ -523,7 +624,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         stream: &LineStream,
         cores: &mut [Core],
         idle: &mut Vec<usize>,
-        active: &mut BinaryHeap<Reverse<(u64, usize)>>,
+        events: &mut EventQueue,
         rec: &mut R,
     ) {
         debug_assert!(idle.windows(2).all(|w| w[0] < w[1]), "idle list unsorted");
@@ -535,7 +636,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
             core.phase = Phase::NextOp;
             core.time = now;
             core.task_started = now;
-            active.push(Reverse((now, core_id)));
+            events.push(now, core_id);
         };
         // The completing core gets first refusal; if it parks, it must
         // not be offered work again below, so its insert waits until
@@ -588,7 +689,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         stream,
         &mut cores,
         &mut idle,
-        &mut active,
+        &mut events,
         rec,
     );
 
@@ -600,20 +701,18 @@ fn event_loop<R: Record, const HAS_L3: bool>(
     let mut newly: Vec<TaskId> = Vec::new();
 
     while completed < n {
-        // Pop the earliest event; the heap top after the pop is the
-        // earliest event any *other* core holds.  The latter is frozen for
-        // the whole inline run: other cores' times only change when they
-        // are stepped, and dispatch only runs at this core's task
-        // completion (which ends the run).  `(yt, yc)` = "yield to core
-        // `yc` at time `yt`"; `u64::MAX`/`usize::MAX` when this core is
-        // alone.
-        let Reverse((now, core_id)) = active
-            .pop()
+        // The earliest event's core runs inline and stays at the heap top
+        // until it parks (re-keyed in place) or completes its task
+        // (popped).  The earliest event any *other* core holds is the
+        // smaller of the top's children, frozen for the whole inline run:
+        // other cores' times only change when they are stepped, and
+        // dispatch only runs at this core's task completion (which ends
+        // the run).  `yield_at` is the first local time at which that
+        // event sorts before this core.
+        let (now, core_id) = events
+            .top()
             .expect("simulator deadlock: tasks remain but no core is active");
-        let (yt, yc) = match active.peek() {
-            Some(&Reverse((t, c))) => (t, c),
-            None => (u64::MAX, usize::MAX),
-        };
+        let yield_at = events.yield_at(core_id);
         debug_assert_eq!(cores[core_id].time, now);
         // Hoisted per run: the core state lives in a local (register-
         // resident, written back on exit), the task's stream window is
@@ -625,12 +724,13 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         let task_end = stream.range(task_id).1;
         let (l1s_below, rest) = l1s.split_at_mut(core_id);
         let (my_l1, l1s_above) = rest.split_first_mut().expect("core id in range");
-        let my_l2 = &mut l2s[core_id / cores_per_cluster];
+        let my_l2 = &mut l2s[cluster_of[core_id]];
 
-        // Yield check: does `(yt, yc)` sort before this core at `time`?
+        // Yield check: does another core's event sort before this core at
+        // `time`?
         macro_rules! yields {
             ($time:expr) => {
-                yt < $time || (yt == $time && yc < core_id)
+                $time >= yield_at
             };
         }
         // A lower-level hit or a returning memory fill: install the line in
@@ -834,7 +934,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                 core.time += l2_hit_latency;
                                 if yields!(core.time) {
                                     core.phase = Phase::L2Probe { id, is_write };
-                                    active.push(Reverse((core.time, core_id)));
+                                    events.park_top(core.time, core_id);
                                     cores[core_id] = core;
                                     break;
                                 }
@@ -847,7 +947,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                     core.time += l3_hit_latency;
                                     if yields!(core.time) {
                                         core.phase = Phase::L3Probe { id, is_write };
-                                        active.push(Reverse((core.time, core_id)));
+                                        events.park_top(core.time, core_id);
                                         cores[core_id] = core;
                                         break;
                                     }
@@ -862,7 +962,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                         core.time = memory.request(core.time);
                                         if yields!(core.time) {
                                             core.phase = Phase::MemFill { id, is_write };
-                                            active.push(Reverse((core.time, core_id)));
+                                            events.park_top(core.time, core_id);
                                             cores[core_id] = core;
                                             break;
                                         }
@@ -872,7 +972,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                                     core.time = memory.request(core.time);
                                     if yields!(core.time) {
                                         core.phase = Phase::MemFill { id, is_write };
-                                        active.push(Reverse((core.time, core_id)));
+                                        events.park_top(core.time, core_id);
                                         cores[core_id] = core;
                                         break;
                                     }
@@ -890,6 +990,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                         core.task = None;
                         cores[core_id] = core;
                         completed += 1;
+                        events.pop_top();
                         // Enable newly ready successors in reverse sequential
                         // order (see the root-enabling comment above).
                         newly.clear();
@@ -913,7 +1014,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
                             stream,
                             &mut cores,
                             &mut idle,
-                            &mut active,
+                            &mut events,
                             rec,
                         );
                         // The core went idle (any new task it was handed is
@@ -959,7 +1060,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
             // yield to it; otherwise this core is still the globally
             // earliest event and steps again inline.
             if yields!(core.time) {
-                active.push(Reverse((core.time, core_id)));
+                events.park_top(core.time, core_id);
                 cores[core_id] = core;
                 break;
             }
@@ -1306,6 +1407,76 @@ mod tests {
         assert_eq!(SimEngine::Batch.canonical(), SimEngine::EventDriven);
         assert_eq!(SimEngine::Reference.canonical(), SimEngine::Reference);
         assert!("quantum".parse::<SimEngine>().is_err());
+    }
+
+    /// Equal-time events leave the queue in ascending core order, earlier
+    /// times first, and a park re-keys the top in place.
+    #[test]
+    fn event_queue_orders_by_time_then_core() {
+        let mut q = EventQueue::new(8);
+        for (time, core) in [(5, 3), (5, 1), (9, 0), (5, 2), (4, 7)] {
+            q.push(time, core);
+        }
+        let mut order = Vec::new();
+        while let Some(event) = q.top() {
+            order.push(event);
+            q.pop_top();
+        }
+        assert_eq!(order, [(4, 7), (5, 1), (5, 2), (5, 3), (9, 0)]);
+
+        q.push(5, 1);
+        q.push(5, 2);
+        q.push(6, 0);
+        assert_eq!(q.top(), Some((5, 1)));
+        // Core 1 still sorts before core 2 at time 5, not at time 6; core
+        // 2 sorts after core 0 as soon as both are at time 6.
+        assert_eq!(q.yield_at(1), 6);
+        q.park_top(6, 1);
+        assert_eq!(q.top(), Some((5, 2)));
+        assert_eq!(q.yield_at(2), 6);
+        q.pop_top();
+        assert_eq!(q.top(), Some((6, 0)));
+        assert_eq!(q.yield_at(0), 7);
+        q.pop_top();
+        assert_eq!(q.yield_at(1), u64::MAX, "a lone core never yields");
+    }
+
+    /// The widest core count the engine supports today still keys every
+    /// core at every representable time, and runs to the reference's
+    /// result.
+    #[test]
+    fn event_queue_keys_the_widest_machine() {
+        let wide = ccs_cache::directory::MAX_DIRECTORY_CORES + 1;
+        let mut q = EventQueue::new(wide);
+        q.push(q.max_time(), wide - 1);
+        q.push(q.max_time(), 0);
+        q.push(0, wide - 1);
+        assert_eq!(q.top(), Some((0, wide - 1)));
+        q.pop_top();
+        assert_eq!(q.top(), Some((q.max_time(), 0)));
+
+        let comp = shared_writers(6, 2 * 1024);
+        let cfg = tiny_config(wide, 64);
+        let fast = simulate_engine(&comp, &cfg, SchedulerKind::Pdf, SimEngine::EventDriven);
+        let slow = simulate_engine(&comp, &cfg, SchedulerKind::Pdf, SimEngine::Reference);
+        assert_eq!(fast, slow);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the event-key limit 9223372036854775807")]
+    fn event_key_rejects_a_time_past_the_limit() {
+        let q = EventQueue::new(2);
+        q.key(u64::MAX / 2 + 1, 1);
+    }
+
+    /// A simulated time that outgrows the key panics at the park that
+    /// would store it, rather than wrapping into a misordered key.
+    #[test]
+    #[should_panic(expected = "exceeds the event-key limit")]
+    fn simulation_past_the_key_limit_panics() {
+        let comp = disjoint_streams(2, 1024);
+        let cfg = tiny_config(2, 64).with_memory_latency(1 << 63);
+        simulate(&comp, &cfg, SchedulerKind::Pdf);
     }
 
     /// A single-config run through `SimEngine::Batch` is exactly the event

@@ -32,66 +32,88 @@ fn config(cores: usize) -> CmpConfig {
     cfg
 }
 
+/// One `#[test]` per registered workload, so libtest runs them in
+/// parallel; `registry_workloads_are_all_covered` keeps the list honest.
+macro_rules! per_workload {
+    ($($name:ident),* $(,)?) => {
+        const COVERED: &[&str] = &[$(stringify!($name)),*];
+        $(
+            mod $name {
+                #[test]
+                fn metrics_identical_across_engines() {
+                    super::check_workload(stringify!($name));
+                }
+            }
+        )*
+    };
+}
+
+per_workload!(lu, hashjoin, mergesort, quicksort, matmul, heat);
+
 #[test]
-fn all_registered_workloads_are_metrics_identical_across_engines() {
-    let registry = WorkloadRegistry::global();
-    let names = registry.names();
-    assert!(
-        names.len() >= 6,
-        "expected the six built-in workloads, got {names:?}"
+fn registry_workloads_are_all_covered() {
+    let mut registered = WorkloadRegistry::global().names();
+    let mut covered: Vec<String> = COVERED.iter().map(|s| s.to_string()).collect();
+    registered.sort();
+    covered.sort();
+    assert_eq!(
+        covered, registered,
+        "every registered workload needs its own engine A/B test"
     );
+}
+
+fn check_workload(name: &str) {
+    let registry = WorkloadRegistry::global();
     // Deeply scaled-down inputs: the reference engine pays one heap
     // round-trip per micro-step, so the sweep must stay small to keep the
     // test quick while still covering every workload's access pattern.
     let scale = 2048;
     let wide = MAX_DIRECTORY_CORES + 1;
-    for name in &names {
-        let ctx = BuildCtx::new(scale, 64 * 1024, 4);
-        let comp = registry.build(name, &ctx).unwrap_or_else(|e| panic!("{e}"));
-        let dag = Dag::from_computation(&comp);
-        for cores in [1usize, 2, 4, 256, wide] {
-            let cfg = config(cores);
-            // A latency group around the A/B point: the batch engine must
-            // reproduce the event result for the point itself while also
-            // serving the neighbouring latencies.
-            let group = [
-                cfg.clone(),
-                cfg.clone().with_l2_hit_latency(7),
-                cfg.clone().with_memory_latency(900),
-            ];
-            for sched in ["pdf", "ws"] {
-                let fast = simulate_engine(&comp, &cfg, sched, SimEngine::EventDriven);
-                let slow = simulate_engine(&comp, &cfg, sched, SimEngine::Reference);
-                assert_eq!(fast, slow, "{name} / {sched} / {cores} cores");
-                let batch = simulate_batch(&comp, &dag, &group, &SchedulerSpec::new(sched));
-                assert_eq!(batch.replayed, if cores == 1 { 2 } else { 0 });
-                assert_eq!(
-                    batch.results[0], fast,
-                    "{name} / {sched} / {cores} cores (batch)"
-                );
-            }
-        }
-        // The three-level topology (DESIGN.md §12): 256 cores in eight
-        // 32-core L2 clusters behind a shared L3.  Still byte-identical
-        // across engines; never replayed by the batch engine (the tape
-        // records L2 outcomes only), but the fallback path must agree too.
-        let clustered = config(256).clustered(8).with_l3_mb(1);
+    let ctx = BuildCtx::new(scale, 64 * 1024, 4);
+    let comp = registry.build(name, &ctx).unwrap_or_else(|e| panic!("{e}"));
+    let dag = Dag::from_computation(&comp);
+    for cores in [1usize, 2, 4, 256, wide] {
+        let cfg = config(cores);
+        // A latency group around the A/B point: the batch engine must
+        // reproduce the event result for the point itself while also
+        // serving the neighbouring latencies.
+        let group = [
+            cfg.clone(),
+            cfg.clone().with_l2_hit_latency(7),
+            cfg.clone().with_memory_latency(900),
+        ];
         for sched in ["pdf", "ws"] {
-            let fast = simulate_engine(&comp, &clustered, sched, SimEngine::EventDriven);
-            let slow = simulate_engine(&comp, &clustered, sched, SimEngine::Reference);
-            assert_eq!(fast, slow, "{name} / {sched} / 256 cores clustered+L3");
-            assert_eq!(fast.clusters, 8);
-            assert_eq!(fast.l3.accesses, fast.l2.misses, "L3 sits below the L2s");
-            let group = [
-                clustered.clone(),
-                clustered.clone().with_memory_latency(900),
-            ];
+            let fast = simulate_engine(&comp, &cfg, sched, SimEngine::EventDriven);
+            let slow = simulate_engine(&comp, &cfg, sched, SimEngine::Reference);
+            assert_eq!(fast, slow, "{name} / {sched} / {cores} cores");
             let batch = simulate_batch(&comp, &dag, &group, &SchedulerSpec::new(sched));
-            assert_eq!(batch.replayed, 0, "clustered+L3 groups never replay");
+            assert_eq!(batch.replayed, if cores == 1 { 2 } else { 0 });
             assert_eq!(
                 batch.results[0], fast,
-                "{name} / {sched} / clustered+L3 (batch)"
+                "{name} / {sched} / {cores} cores (batch)"
             );
         }
+    }
+    // The three-level topology (DESIGN.md §12): 256 cores in eight 32-core
+    // L2 clusters behind a shared L3.  Still byte-identical across engines;
+    // never replayed by the batch engine (the tape records L2 outcomes
+    // only), but the fallback path must agree too.
+    let clustered = config(256).clustered(8).with_l3_mb(1);
+    for sched in ["pdf", "ws"] {
+        let fast = simulate_engine(&comp, &clustered, sched, SimEngine::EventDriven);
+        let slow = simulate_engine(&comp, &clustered, sched, SimEngine::Reference);
+        assert_eq!(fast, slow, "{name} / {sched} / 256 cores clustered+L3");
+        assert_eq!(fast.clusters, 8);
+        assert_eq!(fast.l3.accesses, fast.l2.misses, "L3 sits below the L2s");
+        let group = [
+            clustered.clone(),
+            clustered.clone().with_memory_latency(900),
+        ];
+        let batch = simulate_batch(&comp, &dag, &group, &SchedulerSpec::new(sched));
+        assert_eq!(batch.replayed, 0, "clustered+L3 groups never replay");
+        assert_eq!(
+            batch.results[0], fast,
+            "{name} / {sched} / clustered+L3 (batch)"
+        );
     }
 }
