@@ -701,6 +701,38 @@ impl LineStream {
             + self.line_addr.capacity() * std::mem::size_of::<u64>()
             + self.starts.capacity() * std::mem::size_of::<u32>()) as u64
     }
+
+    /// Heap bytes the stream holds right now: [`LineStream::heap_bytes`]
+    /// plus every lane memoised on it so far (geometry pairs and triples,
+    /// the replay cursor).  Unlike `heap_bytes` this grows as sweeps
+    /// compile against the stream — it is what a cache holding the stream
+    /// actually keeps alive.
+    ///
+    /// Never blocks: a memo whose lock another thread holds (it is being
+    /// compiled or read at this moment) is left out of the sum, so under
+    /// contention the figure can fall short of the true one.
+    pub fn held_bytes(&self) -> u64 {
+        let pairs: u64 = try_sum(&self.geom_pairs, |memo| {
+            memo.iter().map(|(_, lanes)| lanes.heap_bytes()).sum()
+        });
+        let triples: u64 = try_sum(&self.geom_triples, |memo| {
+            memo.iter().map(|(_, lanes)| lanes.heap_bytes()).sum()
+        });
+        let prefix = try_sum(&self.pre_prefix, |memo| {
+            memo.as_ref()
+                .map_or(0, |p| (p.capacity() * std::mem::size_of::<u64>()) as u64)
+        });
+        self.heap_bytes() + pairs + triples + prefix
+    }
+}
+
+/// `bytes` of a memo's contents, or 0 when its lock is taken right now.
+fn try_sum<T>(memo: &Mutex<T>, bytes: impl FnOnce(&T) -> u64) -> u64 {
+    match memo.try_lock() {
+        Ok(guard) => bytes(&guard),
+        Err(std::sync::TryLockError::Poisoned(e)) => bytes(&e.into_inner()),
+        Err(std::sync::TryLockError::WouldBlock) => 0,
+    }
 }
 
 impl Computation {
@@ -718,6 +750,17 @@ impl Computation {
         let stream = Arc::new(LineStream::compile(self, line_size));
         cache.push((line_size, Arc::clone(&stream)));
         stream
+    }
+
+    /// Heap bytes of everything memoised on this computation: each
+    /// compiled line stream with its lanes ([`LineStream::held_bytes`]).
+    /// Zero until the first [`Computation::line_stream`] call.  Never
+    /// blocks; like `held_bytes` it leaves out a memo whose lock another
+    /// thread holds at this moment.
+    pub fn memo_bytes(&self) -> u64 {
+        try_sum(&self.streams, |streams| {
+            streams.iter().map(|(_, stream)| stream.held_bytes()).sum()
+        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! Cache of built workload computations, shared process-wide by default.
+//! Cache of built workload computations.
 //!
 //! Registry workloads are **deterministic** functions of `(spec label,
 //! scale, scaled L2 capacity, cores)` — PR 4 exploited that *within* one
@@ -10,54 +10,86 @@
 //! each pass paying the full trace-generation, DAG-flattening and
 //! stream/geometry-compilation cost again for byte-identical results.
 //!
-//! This module hoists the reuse to the process level: one bounded,
-//! least-recently-used map from build key to the shared
-//! `(computation, DAG)` pair.  Because the line streams and geometry lanes
-//! are memoised *on* the computation, a cache hit also reuses every
-//! compiled stream and set-index table — the whole "compile once per sweep
-//! configuration" artifact chain survives across sweeps and trials.
+//! A [`BuildCache`] is one bounded, least-recently-used map from build key
+//! to the shared `(computation, DAG)` pair.  Because the line streams and
+//! geometry lanes are memoised *on* the computation, a cache hit also
+//! reuses every compiled stream and set-index table — the whole "compile
+//! once per sweep configuration" artifact chain survives across sweeps and
+//! trials.  Every [`Experiment`](crate::Experiment) carries a handle to
+//! one: the process default ([`BuildCache::global`]) unless the caller
+//! hands it another ([`Experiment::build_cache`](crate::Experiment::build_cache)).
+//! The CLI, the figure binaries and the bench harness share the process
+//! default; a `ccs-serve` service owns one shared by all its requests,
+//! with its own budget.
 //!
 //! Correctness is untouched: builders are pure, so a cached computation is
 //! byte-identical to a rebuilt one (the `bench_gate` determinism columns
 //! and the parallel-vs-sequential CI `cmp` would catch any drift), and
 //! only *registry* specs are cached — `Fixed` specs stay keyed by `Arc`
-//! identity inside each run.  The cache is bounded by the estimated heap
-//! footprint of its entries ([`BUDGET_BYTES`]); full-scale sweeps evict
-//! oldest-used entries instead of accumulating gigabytes.
+//! identity inside each run.  The cache is bounded by the heap its entries
+//! hold ([`BUDGET_BYTES`]), counted when the budget is enforced: trace
+//! arena, DAG, and the streams and lanes memoised on the computation so
+//! far.  Full-scale sweeps evict oldest-used entries instead of
+//! accumulating gigabytes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ccs_dag::{Computation, Dag};
 
-/// Eviction budget: the summed footprint estimate of cached builds is kept
-/// at or below this.  Quick-mode builds are a few MB each, so the whole
-/// quick sweep fits; a full-scale (scale 1) build can exceed the budget on
-/// its own, in which case it is cached alone and evicted by the next
-/// insertion — exactly the old build-per-sweep behaviour.
+/// Eviction budget of [`BuildCache::new`]: the heap the cached builds hold
+/// is kept at or below this at every insertion.  Quick-mode builds are a
+/// few MB each, so the whole quick sweep fits; a full-scale (scale 1)
+/// build can exceed the budget on its own, in which case it is cached
+/// alone and evicted by the next insertion — exactly the old
+/// build-per-sweep behaviour.
 pub const BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
 /// One cached build: the shared pair every sweep point of a matching key
 /// clones, plus bookkeeping for the LRU budget.
 struct Entry {
     built: Arc<(Arc<Computation>, Arc<Dag>)>,
-    /// Footprint estimate: trace arena + CSR DAG (compiled streams/lanes
-    /// grow this lazily, but they are proportional to the arena).
+    /// Heap the entry held at the last budget check ([`Entry::measure`]).
     bytes: u64,
     last_used: u64,
+}
+
+impl Entry {
+    /// Re-read the heap the entry holds: trace arena, CSR DAG, and the
+    /// streams and lanes sweeps have compiled on the computation since it
+    /// was cached — these grow after insertion, so a figure fixed at
+    /// insert time would miss most of them.  Memos only grow, so a
+    /// reading that comes out lower (a memo was mid-compile on another
+    /// thread and skipped, see [`Computation::memo_bytes`]) keeps the
+    /// previous one.
+    fn measure(&mut self) -> u64 {
+        let (comp, dag) = &*self.built;
+        let now = comp.trace_arena_bytes() + dag.heap_bytes() + comp.memo_bytes();
+        self.bytes = self.bytes.max(now);
+        self.bytes
+    }
 }
 
 /// Key: `(spec label, scale, scaled L2 bytes, cores)` — the same
 /// determinism contract the per-run map of PR 4 relied on.
 type Key = (String, u64, u64, usize);
 
-/// A bounded, least-recently-used cache of built computations.  The
-/// experiment layer shares one process default ([`BuildCache::global`],
-/// reached through the free functions of this module); private instances
-/// keep tests and embedders independent of it.
-#[derive(Default)]
+/// A bounded, least-recently-used cache of built computations.  Every
+/// [`Experiment`](crate::Experiment) holds one through an `Arc`: the
+/// process default ([`BuildCache::global`], also reached through the free
+/// functions of this module) unless it was given a private instance.
 pub struct BuildCache {
     inner: Mutex<Entries>,
+    budget: u64,
+}
+
+impl Default for BuildCache {
+    fn default() -> BuildCache {
+        BuildCache {
+            inner: Mutex::default(),
+            budget: BUDGET_BYTES,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -67,15 +99,24 @@ struct Entries {
 }
 
 impl BuildCache {
-    /// An empty cache.
+    /// An empty cache bounded by [`BUDGET_BYTES`].
     pub fn new() -> BuildCache {
         BuildCache::default()
     }
 
-    /// The process default every [`Experiment`](crate::Experiment) uses.
-    pub fn global() -> &'static BuildCache {
-        static CACHE: OnceLock<BuildCache> = OnceLock::new();
-        CACHE.get_or_init(BuildCache::new)
+    /// An empty cache bounded by `budget` bytes of held heap.
+    pub fn with_budget(budget: u64) -> BuildCache {
+        BuildCache {
+            budget,
+            ..BuildCache::default()
+        }
+    }
+
+    /// The process default every [`Experiment`](crate::Experiment) starts
+    /// with.
+    pub fn global() -> &'static Arc<BuildCache> {
+        static CACHE: OnceLock<Arc<BuildCache>> = OnceLock::new();
+        CACHE.get_or_init(|| Arc::new(BuildCache::new()))
     }
 
     fn lock(&self) -> MutexGuard<'_, Entries> {
@@ -104,9 +145,7 @@ impl BuildCache {
                 return Arc::clone(&entry.built);
             }
         }
-        let (comp, dag) = build();
-        let bytes = comp.trace_arena_bytes() + dag.heap_bytes();
-        let built = Arc::new((comp, dag));
+        let built = Arc::new(build());
         let mut cache = self.lock();
         cache.tick += 1;
         let tick = cache.tick;
@@ -119,13 +158,13 @@ impl BuildCache {
             key,
             Entry {
                 built: Arc::clone(&built),
-                bytes,
+                bytes: 0,
                 last_used: tick,
             },
         );
         // Enforce the budget, never evicting the entry just inserted.
-        let mut total: u64 = cache.entries.values().map(|e| e.bytes).sum();
-        while total > BUDGET_BYTES && cache.entries.len() > 1 {
+        let mut total: u64 = cache.entries.values_mut().map(Entry::measure).sum();
+        while total > self.budget && cache.entries.len() > 1 {
             let oldest = cache
                 .entries
                 .iter()
@@ -144,6 +183,13 @@ impl BuildCache {
         built
     }
 
+    /// Heap the cached builds hold right now — trace arenas, DAGs and the
+    /// streams and lanes memoised on them — the figure the budget bounds.
+    #[cfg(test)]
+    fn held_bytes(&self) -> u64 {
+        self.lock().entries.values_mut().map(Entry::measure).sum()
+    }
+
     /// Number of builds currently cached.
     pub fn cached_builds(&self) -> usize {
         self.lock().entries.len()
@@ -153,14 +199,6 @@ impl BuildCache {
     pub fn clear(&self) {
         self.lock().entries.clear();
     }
-}
-
-/// [`BuildCache::get_or_build`] on the process default.
-pub(crate) fn get_or_build(
-    key: Key,
-    build: impl FnOnce() -> (Arc<Computation>, Arc<Dag>),
-) -> Arc<(Arc<Computation>, Arc<Dag>)> {
-    BuildCache::global().get_or_build(key, build)
 }
 
 /// Number of builds in the process default (diagnostics/tests).
@@ -219,6 +257,57 @@ mod tests {
             "different L2 capacity, different build"
         );
         assert_eq!(cache.cached_builds(), 2);
+    }
+
+    /// The held figure counts what an entry keeps alive, including the
+    /// streams and lanes compiled on its computation after insertion.
+    #[test]
+    fn held_bytes_count_the_memoised_streams_and_lanes() {
+        let cache = BuildCache::new();
+        let built = cache.get_or_build(("bc-test-d".into(), 1, 1024, 2), || tiny(5));
+        let (comp, dag) = &*built;
+        let base = comp.trace_arena_bytes() + dag.heap_bytes();
+        assert_eq!(cache.held_bytes(), base);
+
+        let stream = comp.line_stream(64);
+        let l1 = ccs_dag::CacheGeometry::new(64, 4);
+        let l2 = ccs_dag::CacheGeometry::new(64, 16);
+        let l3 = ccs_dag::CacheGeometry::new(64, 64);
+        let pair = stream.geometry_pair(l1, l2);
+        let triple = stream.geometry_triple(l1, l2, l3);
+        let prefix = stream.pre_prefix();
+        let memo = stream.heap_bytes()
+            + pair.heap_bytes()
+            + triple.heap_bytes()
+            + (prefix.capacity() * std::mem::size_of::<u64>()) as u64;
+        assert!(stream.heap_bytes() > 0 && pair.heap_bytes() > 0);
+        assert_eq!(comp.memo_bytes(), memo);
+        assert_eq!(cache.held_bytes(), base + memo);
+    }
+
+    /// Eviction sees those memoised bytes: two builds that fit the budget
+    /// by arena and DAG alone stop fitting once one compiles its stream.
+    #[test]
+    fn budget_enforcement_counts_memoised_bytes() {
+        let (comp, dag) = tiny(5);
+        let base = comp.trace_arena_bytes() + dag.heap_bytes();
+        let memo = comp.line_stream(64).heap_bytes();
+
+        let roomy = BuildCache::with_budget(2 * base + memo);
+        let tight = BuildCache::with_budget(2 * base + memo - 1);
+        for cache in [&roomy, &tight] {
+            let first = cache.get_or_build(("bc-test-e".into(), 1, 1024, 2), || tiny(5));
+            first.0.line_stream(64);
+            cache.get_or_build(("bc-test-e".into(), 1, 2048, 2), || tiny(5));
+        }
+        assert_eq!(roomy.cached_builds(), 2);
+        assert_eq!(roomy.held_bytes(), 2 * base + memo);
+        assert_eq!(
+            tight.cached_builds(),
+            1,
+            "the compiled stream pushed it over"
+        );
+        assert_eq!(tight.held_bytes(), base);
     }
 
     /// Instances are independent of each other and of the process default.

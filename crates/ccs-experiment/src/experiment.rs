@@ -17,6 +17,7 @@ use ccs_sched::SchedulerSpec;
 use ccs_sim::{simulate_batch, simulate_with_engine, CmpConfig, SimEngine, SimResult};
 use ccs_workloads::{Benchmark, BuildCtx, UnknownWorkload, WorkloadRegistry};
 
+use crate::build_cache::BuildCache;
 use crate::report::{Report, RunRecord};
 
 /// The quick-mode scale clamp: smoke tests always run at a divisor of at
@@ -344,6 +345,8 @@ pub struct Experiment {
     baseline: bool,
     parallelism: usize,
     engine: SimEngine,
+    /// Where registry builds are cached ([`Experiment::build_cache`]).
+    build_cache: Arc<BuildCache>,
 }
 
 impl Experiment {
@@ -361,6 +364,7 @@ impl Experiment {
             baseline: true,
             parallelism: 1,
             engine: SimEngine::default(),
+            build_cache: Arc::clone(BuildCache::global()),
         }
     }
 
@@ -376,6 +380,7 @@ impl Experiment {
             baseline: true,
             parallelism: 1,
             engine: SimEngine::default(),
+            build_cache: Arc::clone(BuildCache::global()),
         }
     }
 
@@ -494,6 +499,16 @@ impl Experiment {
         self
     }
 
+    /// Cache registry builds in `cache` instead of the process default
+    /// ([`BuildCache::global`]).  Every point of this experiment (and of
+    /// its clones) shares `cache`; builds leave memory when the last
+    /// handle to it drops — the `ccs-serve` daemon gives each request its
+    /// own this way.
+    pub fn build_cache(mut self, cache: Arc<BuildCache>) -> Experiment {
+        self.build_cache = cache;
+        self
+    }
+
     /// The scale divisor runs will actually use (after `quick` clamping).
     pub fn effective_scale(&self) -> u64 {
         effective_scale(self.scale, self.quick)
@@ -552,11 +567,11 @@ impl Experiment {
     /// scaled L2 capacity, cores) — design points differing only in
     /// latencies or bandwidth (e.g. the fig. 4/5 sweeps) simulate the
     /// *same* computation.  Each distinct computation (and its DAG) is
-    /// fetched through the **process-global build cache**
-    /// ([`crate::build_cache`]), so the build is shared not only by the
-    /// points of one run but by every sweep, repeat trial and daemon
-    /// request of the process; the computation's internal stream/geometry
-    /// memoisation then also survives with it.  Caller-built `Fixed`
+    /// fetched through the experiment's **build cache**
+    /// ([`Experiment::build_cache`], the process default unless set), so
+    /// the build is shared not only by the points of one run but by every
+    /// sweep and repeat trial using the same cache; the computation's
+    /// internal stream/geometry memoisation then also survives with it.  Caller-built `Fixed`
     /// computations share their `Arc`'d trace arena but re-derive the DAG.
     pub fn run_sweep_point(&self, point: &SweepPoint) -> Vec<RunRecord> {
         let scale = self.effective_scale();
@@ -573,10 +588,9 @@ impl Experiment {
             (comp, dag)
         };
         let built = match &point.workload {
-            WorkloadSpec::Registry { .. } => crate::build_cache::get_or_build(
-                (point.workload.label(), scale, l2_bytes, cores),
-                build,
-            ),
+            WorkloadSpec::Registry { .. } => self
+                .build_cache
+                .get_or_build((point.workload.label(), scale, l2_bytes, cores), build),
             WorkloadSpec::Fixed { .. } => Arc::new(build()),
         };
         let (comp, dag) = &*built;
@@ -693,10 +707,9 @@ impl Experiment {
             (comp, dag)
         };
         let built = match &head.workload {
-            WorkloadSpec::Registry { .. } => crate::build_cache::get_or_build(
-                (head.workload.label(), scale, l2_bytes, cores),
-                build,
-            ),
+            WorkloadSpec::Registry { .. } => self
+                .build_cache
+                .get_or_build((head.workload.label(), scale, l2_bytes, cores), build),
             WorkloadSpec::Fixed { .. } => Arc::new(build()),
         };
         let (comp, dag) = &*built;

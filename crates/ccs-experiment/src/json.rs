@@ -413,6 +413,15 @@ impl<'a> ValueWriter<'a> {
         }
     }
 
+    /// Pre-rendered JSON text, copied verbatim — the splice that lets a
+    /// stored value (a result-store record) leave without a decode and
+    /// re-encode.  The caller vouches that `json` is one well-formed value
+    /// rendered as this writer would render it; the text keeps its own
+    /// layout, so splice compact text into compact writers only.
+    pub fn raw(self, json: &str) {
+        self.out.push_str(json);
+    }
+
     /// An object whose members `body` writes.
     pub fn object(self, body: impl FnOnce(&mut ObjectWriter<'_>)) {
         let mut object = ObjectWriter(Members::open(self, '{'));

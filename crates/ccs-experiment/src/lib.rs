@@ -18,10 +18,11 @@
 //! * [`RunRecord`] / [`Report`] — one record per measured point, aggregated
 //!   into a report with JSON/CSV/TSV emission and parsing
 //!   ([`Report::to_json`] / [`Report::from_json`]);
-//! * [`build_cache`] — the process-global, byte-bounded cache of built
-//!   registry computations (and, through their memoisation, of every
-//!   compiled line stream and geometry lane), shared across sweeps and
-//!   repeat trials;
+//! * [`build_cache`] — the byte-bounded cache of built registry
+//!   computations (and, through their memoisation, of every compiled line
+//!   stream and geometry lane); experiments share the process default
+//!   across sweeps and repeat trials unless handed their own
+//!   ([`Experiment::build_cache`]);
 //! * [`canon`] — canonical run-point keys and their stable FNV-1a hash:
 //!   the identity a [`RunRecord`] is a deterministic function of;
 //! * [`ResultStore`] — the durable on-disk record memo keyed by those
@@ -71,6 +72,7 @@ pub mod options;
 pub mod report;
 pub mod result_store;
 
+pub use build_cache::BuildCache;
 pub use experiment::{CoreSelection, Experiment, SweepPoint, WorkloadSpec};
 pub use options::{Options, OptionsError};
 pub use report::{Report, RunRecord};

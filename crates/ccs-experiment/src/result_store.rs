@@ -48,13 +48,16 @@
 //! entries up front, so a `kill -9`'d daemon restarts onto a clean store.
 //!
 //! A small in-memory map fronts the disk so repeated hits in one process
-//! skip the file system after the first read.
+//! skip the file system after the first read.  It keeps each record as its
+//! canonical compact JSON — the text the checksum covers, and the bytes a
+//! `result` frame carries — so [`ResultStore::get_json`] serves a hit with
+//! no decode and no re-encode; [`ResultStore::get`] decodes on demand.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ccs_runtime::fault::{self, FaultKind};
 
@@ -74,8 +77,9 @@ pub struct ResultStore {
     dir: PathBuf,
     /// Disk byte budget; `None` grows unboundedly (the historical default).
     max_bytes: Option<u64>,
-    /// In-memory front: canonical key → record, filled by hits and puts.
-    mem: Mutex<HashMap<String, RunRecord>>,
+    /// In-memory front: canonical key → the record's canonical compact
+    /// JSON ([`RunRecord::to_json_line`]), filled by hits and puts.
+    mem: Mutex<HashMap<String, Arc<str>>>,
     /// Distinguishes concurrent writers' temporary files within the process.
     tmp_seq: AtomicU64,
 }
@@ -150,26 +154,34 @@ impl ResultStore {
         self.max_bytes
     }
 
-    /// Look up the record stored under `key`, if any.  Disk hits are
-    /// promoted into the in-memory front and have their file mtime
-    /// refreshed (so a bounded store's eviction order tracks use, not just
-    /// write age).  Missing files, stale-version entries and key
-    /// mismatches are misses; unreadable or corrupt files are quarantined
-    /// (renamed to `<hash>.corrupt`, once, with a stderr note) and then
-    /// miss.
+    fn front(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<str>>> {
+        self.mem.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Look up the record stored under `key`, if any: [`ResultStore::get_json`]
+    /// decoded.  (A stored record whose text does not decode — one with a
+    /// non-finite required float, which no disk entry can hold either —
+    /// reads as a miss.)
     pub fn get(&self, key: &str) -> Option<RunRecord> {
-        if let Some(hit) = self
-            .mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
-        {
-            return Some(hit);
+        RunRecord::parse_json(&self.get_json(key)?).ok()
+    }
+
+    /// The canonical compact JSON of the record stored under `key`, if any
+    /// — byte for byte what [`RunRecord::to_json_line`] renders for it, so
+    /// it can be spliced into a frame as is.  Disk hits are verified
+    /// against their checksum, promoted into the in-memory front and have
+    /// their file mtime refreshed (so a bounded store's eviction order
+    /// tracks use, not just write age).  Missing files, stale-version
+    /// entries and key mismatches are misses; unreadable or corrupt files
+    /// are quarantined (renamed to `<hash>.corrupt`, once, with a stderr
+    /// note) and then miss.
+    pub fn get_json(&self, key: &str) -> Option<Arc<str>> {
+        if let Some(hit) = self.front().get(key) {
+            return Some(Arc::clone(hit));
         }
         let path = self.entry_path(key);
-        let record = match read_entry(&path, key) {
-            ReadOutcome::Hit(record) => *record,
+        let text: Arc<str> = match read_entry(&path, key) {
+            ReadOutcome::Hit(text) => text.into(),
             ReadOutcome::Miss => return None,
             ReadOutcome::Corrupt(reason) => {
                 quarantine(&path, &reason);
@@ -177,11 +189,16 @@ impl ResultStore {
             }
         };
         touch(&path);
-        self.mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.to_string(), record.clone());
-        Some(record)
+        self.front().insert(key.to_string(), Arc::clone(&text));
+        Some(text)
+    }
+
+    /// Whether an entry for `key` is in the in-memory front or on disk —
+    /// a cheap probe: nothing is read, verified, promoted or touched, so a
+    /// `true` can still turn out a miss in [`ResultStore::get_json`] (a
+    /// stale, colliding or corrupt file).
+    pub fn contains(&self, key: &str) -> bool {
+        self.front().contains_key(key) || self.entry_path(key).is_file()
     }
 
     /// Persist `record` under `key` (memory + synced atomic disk write),
@@ -189,14 +206,12 @@ impl ResultStore {
     /// failure leaves the in-memory front intact, so the running process
     /// keeps serving the record; only durability is lost.
     pub fn put(&self, key: &str, record: &RunRecord) -> io::Result<()> {
-        self.mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.to_string(), record.clone());
+        let compact: Arc<str> = record.to_json_line().into();
+        self.front().insert(key.to_string(), Arc::clone(&compact));
         if let Some(err) = fault::injected_io_error(FaultKind::StoreIo) {
             return Err(err);
         }
-        let text = entry_text(key, record);
+        let text = entry_text(key, record, &compact);
         let path = self.entry_path(key);
         if fault::should_inject(FaultKind::TornWrite) {
             // Simulate a writer that died mid-write *without* the
@@ -227,7 +242,7 @@ impl ResultStore {
 
     /// Number of records in the in-memory front (not a disk census).
     pub fn cached_records(&self) -> usize {
-        self.mem.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.front().len()
     }
 
     /// Total bytes of entry files currently on disk (temporary files
@@ -312,9 +327,9 @@ enum ReadOutcome {
     /// overwritten by the next put) or a stored-key mismatch (FNV
     /// collision — a *valid* entry for a different key, not damage).
     Miss,
-    /// A verified current-version entry for this key.  Boxed: a
-    /// `RunRecord` dwarfs the other variants.
-    Hit(Box<RunRecord>),
+    /// A verified current-version entry for this key: its record's
+    /// canonical compact JSON.
+    Hit(String),
     /// The file is damaged (unreadable, unparseable, failed checksum):
     /// real I/O trouble the caller must quarantine, not silently retry.
     Corrupt(String),
@@ -328,16 +343,17 @@ fn read_entry(path: &Path, key: &str) -> ReadOutcome {
         Err(e) => return ReadOutcome::Corrupt(format!("unreadable: {e}")),
     };
     match check_entry(&text) {
-        Ok(Some((stored_key, record))) if stored_key == key => ReadOutcome::Hit(Box::new(record)),
+        Ok(Some((stored_key, compact))) if stored_key == key => ReadOutcome::Hit(compact),
         Ok(_) => ReadOutcome::Miss,
         Err(reason) => ReadOutcome::Corrupt(reason),
     }
 }
 
 /// The entry file's text: `{"ccs-store", "key", "sum", "record"}`,
-/// pretty-printed with a trailing newline, written in one pass.
-fn entry_text(key: &str, record: &RunRecord) -> String {
-    let sum = entry_checksum(key, record);
+/// pretty-printed with a trailing newline, written in one pass.  `compact`
+/// is the record's canonical compact JSON, which the checksum covers.
+fn entry_text(key: &str, record: &RunRecord, compact: &str) -> String {
+    let sum = entry_checksum(key, compact);
     let mut text = String::with_capacity(key.len() + 1024);
     ValueWriter::pretty(&mut text, 0).object(|doc| {
         doc.key("ccs-store").u64(STORE_VERSION);
@@ -349,10 +365,11 @@ fn entry_text(key: &str, record: &RunRecord) -> String {
     text
 }
 
-/// Validate one store document: `Ok(Some((key, record)))` for a verified
-/// current-version entry, `Ok(None)` for a stale (older-version) one, and
-/// `Err(reason)` for damage.
-fn check_entry(text: &str) -> Result<Option<(String, RunRecord)>, String> {
+/// Validate one store document: `Ok(Some((key, compact)))` for a verified
+/// current-version entry — `compact` is the record's canonical compact
+/// JSON, re-rendered from the decoded record — `Ok(None)` for a stale
+/// (older-version) one, and `Err(reason)` for damage.
+fn check_entry(text: &str) -> Result<Option<(String, String)>, String> {
     let mut reader = Reader::new(text);
     let mut record = None;
     let [version, stored_key, sum] = reader
@@ -383,10 +400,11 @@ fn check_entry(text: &str) -> Result<Option<(String, RunRecord)>, String> {
     let record = record
         .ok_or_else(|| "no \"record\" field".to_string())?
         .map_err(|e| format!("bad record: {e}"))?;
-    if sum != entry_checksum(&stored_key, &record) {
+    let compact = record.to_json_line();
+    if sum != entry_checksum(&stored_key, &compact) {
         return Err("checksum mismatch".to_string());
     }
-    Ok(Some((stored_key, record)))
+    Ok(Some((stored_key, compact)))
 }
 
 /// The embedded integrity checksum: FNV-1a over the stored key and the
@@ -394,8 +412,8 @@ fn check_entry(text: &str) -> Result<Option<(String, RunRecord)>, String> {
 /// round-trips through the decoder, so the hash is independent of the
 /// pretty formatting the file uses, and a stored record that decodes to
 /// anything but the record the sum was taken over fails the check.
-fn entry_checksum(key: &str, record: &RunRecord) -> String {
-    let material = format!("{key}\n{}", record.to_json_line());
+fn entry_checksum(key: &str, compact: &str) -> String {
+    let material = format!("{key}\n{compact}");
     format!("{:016x}", fnv1a64(material.as_bytes()))
 }
 
@@ -474,6 +492,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The front holds each record's canonical compact JSON — what a
+    /// `result` frame splices — whichever way the record got there.
+    #[test]
+    fn front_text_is_the_canonical_compact_encoding() {
+        let dir = unique_dir("front");
+        let record = sample_record();
+        let canonical = record.to_json_line();
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            store.put("key-a", &record).unwrap();
+            assert_eq!(store.get_json("key-a").as_deref(), Some(canonical.as_str()));
+            assert_eq!(store.get("key-a").unwrap(), record);
+        }
+
+        // Reloaded from disk: verified, promoted, same text.
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.cached_records(), 0);
+        assert_eq!(store.get_json("key-a").as_deref(), Some(canonical.as_str()));
+        assert_eq!(store.cached_records(), 1);
+        assert_eq!(store.get("key-a").unwrap(), record);
+
+        // An entry corrupted under an open store is quarantined on read,
+        // misses, and leaves nothing in the front; the next put stores the
+        // canonical text again.
+        let store = ResultStore::open(&dir).unwrap();
+        let path = dir.join(format!("{}.json", key_hash_hex("key-a")));
+        let doc = Json::object([
+            ("ccs-store", STORE_VERSION.into()),
+            ("key", "key-a".into()),
+            ("sum", "0000000000000000".into()),
+            ("record", record.to_json()),
+        ]);
+        std::fs::write(&path, doc.to_string_pretty()).unwrap();
+        assert!(store.get_json("key-a").is_none());
+        assert!(
+            path.with_extension("corrupt").exists(),
+            "quarantined on read"
+        );
+        assert_eq!(store.cached_records(), 0);
+        store.put("key-a", &record).unwrap();
+        assert_eq!(store.get_json("key-a").as_deref(), Some(canonical.as_str()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn entry_files_match_the_tree_rendering() {
         // The single-pass writer must leave the on-disk format — pretty
@@ -493,11 +555,12 @@ mod tests {
             ("sum", tree_sum.into()),
             ("record", record.to_json()),
         ]);
-        let text = entry_text(key, &record);
+        let text = entry_text(key, &record, &record.to_json_line());
         assert_eq!(text, tree.to_string_pretty());
-        let (stored_key, decoded) = check_entry(&text).unwrap().unwrap();
+        let (stored_key, compact) = check_entry(&text).unwrap().unwrap();
         assert_eq!(stored_key, key);
-        assert_eq!(decoded, record);
+        assert_eq!(compact, record.to_json_line());
+        assert_eq!(RunRecord::parse_json(&compact).unwrap(), record);
     }
 
     #[test]
@@ -541,7 +604,10 @@ mod tests {
         let doc = Json::object([
             ("ccs-store", STORE_VERSION.into()),
             ("key", "some-other-key".into()),
-            ("sum", entry_checksum("some-other-key", &record).into()),
+            (
+                "sum",
+                entry_checksum("some-other-key", &record.to_json_line()).into(),
+            ),
             ("record", record.to_json()),
         ]);
         std::fs::write(&path, doc.to_string_pretty()).unwrap();

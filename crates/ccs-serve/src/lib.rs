@@ -15,15 +15,17 @@
 //!
 //! * [`protocol`] — the frame vocabulary (`submit`, `result`, `status`, …)
 //!   and its single-line JSON encoding;
-//! * [`queue`] — the bounded request queue (backpressure: a full queue
-//!   rejects immediately rather than stalling the connection);
-//! * [`service`] — workers, the shared simulation pool, the
-//!   [`ResultStore`](ccs_experiment::ResultStore) front, and per-request
-//!   [`CancelToken`](ccs_runtime::CancelToken)s (cancel drops queued
-//!   points; in-flight points finish and are kept);
+//! * [`queue`] — the bounded request queue (backpressure for requests that
+//!   need simulation: a full queue rejects immediately rather than
+//!   stalling the connection);
+//! * [`service`] — the [`ResultStore`](ccs_experiment::ResultStore)
+//!   lookup, workers, the shared simulation pool, the build cache all
+//!   requests share, and per-request [`CancelToken`](ccs_runtime::CancelToken)s
+//!   (cancel drops queued points; in-flight points finish and are kept);
 //! * [`session`] — one client connection: validation through the spec
 //!   grammar, frame routing, bounded-line input hardening, graceful drain
-//!   on EOF;
+//!   on EOF.  A request the store holds in full is answered on the
+//!   session's own thread, in one burst, without queueing;
 //! * [`server`] — the stdio and Unix-socket front ends;
 //! * [`client`] — the in-repo client, which reassembles streamed records
 //!   into batch-identical [`Report`](ccs_experiment::Report)s, plus the

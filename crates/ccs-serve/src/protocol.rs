@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | server → client | `hello` | greeting; carries the protocol version |
 //! | client → server | `submit` | a sweep request with a client-chosen `id` |
-//! | server → client | `accepted` | request validated and queued; resolved name/scale/totals |
+//! | server → client | `accepted` | request validated and accepted; resolved name/scale/totals |
 //! | server → client | `result` | one streamed [`RunRecord`], with its report position `seq` |
 //! | server → client | `status` | terminal frame per request: `done`, `cancelled`, `timeout` or `failed` |
 //! | client → server | `query` | progress probe for a submitted request |
@@ -32,9 +32,11 @@
 //! frame's `record` member is byte-compatible with report records.  Both
 //! directions are single-pass: [`Frame::write_line`] writes straight into
 //! one `String`, [`Frame::parse`] pulls the fields it needs out of the line
-//! with a borrowing [`Reader`] and skips the rest.
+//! with a borrowing [`Reader`] and skips the rest.  A record already
+//! rendered — a result-store hit — is spliced into its frame by
+//! [`write_cached_result_line`], the same bytes without a decode and re-encode.
 
-use ccs_experiment::json::{Reader, Value, ValueWriter};
+use ccs_experiment::json::{ObjectWriter, Reader, Value, ValueWriter};
 use ccs_experiment::RunRecord;
 use ccs_sim::SimEngine;
 
@@ -65,7 +67,9 @@ pub struct SubmitRequest {
     /// Server-side deadline in milliseconds; `None` means no deadline.
     /// Counted from acceptance (queue wait included); on expiry the request
     /// is cancelled and terminates with the `timeout` state, keeping every
-    /// record streamed so far.
+    /// record streamed so far.  A request the result store holds in full
+    /// is answered at acceptance, so only requests that simulate can
+    /// expire.
     pub timeout_ms: Option<u64>,
 }
 
@@ -125,7 +129,7 @@ pub enum Frame {
     },
     /// Client sweep request.
     Submit(SubmitRequest),
-    /// Request validated and queued.
+    /// Request validated and accepted: its results follow.
     Accepted {
         /// The request id.
         id: String,
@@ -273,11 +277,7 @@ impl Frame {
                 cached,
                 record,
             } => {
-                f.key("type").str("result");
-                f.key("id").str(id);
-                f.key("seq").u64(*seq as u64);
-                f.key("total").u64(*total as u64);
-                f.key("cached").bool(*cached);
+                result_head(f, id, *seq, *total, *cached);
                 f.key("record").object(|r| record.write_json(r));
             }
             Frame::Status {
@@ -493,6 +493,34 @@ impl Frame {
             other => Err(format!("unknown frame type {other:?}")),
         }
     }
+}
+
+/// The members a `result` frame writes before its `record`.
+fn result_head(f: &mut ObjectWriter<'_>, id: &str, seq: usize, total: usize, cached: bool) {
+    f.key("type").str("result");
+    f.key("id").str(id);
+    f.key("seq").u64(seq as u64);
+    f.key("total").u64(total as u64);
+    f.key("cached").bool(cached);
+}
+
+/// Append the line of a cached `result` frame whose record is already
+/// rendered as its canonical compact JSON (a result-store hit,
+/// [`ResultStore::get_json`](ccs_experiment::ResultStore::get_json)):
+/// byte-identical to [`Frame::write_line`] of the `Frame::Result` with
+/// `cached: true` carrying the decoded record, with the record text
+/// spliced in rather than decoded and re-encoded.
+pub fn write_cached_result_line(
+    out: &mut String,
+    id: &str,
+    seq: usize,
+    total: usize,
+    record_json: &str,
+) {
+    ValueWriter::compact(out).object(|f| {
+        result_head(f, id, seq, total, true);
+        f.key("record").raw(record_json);
+    });
 }
 
 fn require_str(value: Option<Value<'_>>, key: &str) -> Result<String, String> {

@@ -1,6 +1,8 @@
 //! A bounded, blocking MPMC request queue — the daemon's backpressure point.
 //!
-//! Sessions push validated requests; service workers pop them.  The queue
+//! Sessions push validated requests that need simulation (a request the
+//! result store holds in full is answered without queueing, see
+//! [`crate::service`]); service workers pop them.  The queue
 //! has a fixed capacity: when it is full, [`RequestQueue::submit`] fails
 //! *immediately* (the session answers with an `error` frame) rather than
 //! blocking the reader thread — a stalled reader could not see the client's
@@ -88,6 +90,17 @@ impl<T> RequestQueue<T> {
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.available.notify_all();
+    }
+
+    /// Whether [`RequestQueue::close`] was called.
+    pub fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+
+    /// Whether a [`RequestQueue::submit`] made now would fail with
+    /// [`SubmitError::Full`] (a hint: workers may pop in the meantime).
+    pub fn is_full(&self) -> bool {
+        self.state.lock().items.len() >= self.capacity
     }
 
     /// Number of queued (not yet popped) items.

@@ -9,20 +9,36 @@
 //!   points are batched onto, so concurrent requests share the machine
 //!   instead of oversubscribing it.
 //!
-//! Each request decomposes into [`Experiment::sweep_points`]; every point
-//! is first checked against the persistent [`ResultStore`] (when the
-//! service has one).  A point whose records are *all* stored is streamed
-//! straight from disk (`cached: true` on the frames); anything else is
-//! simulated on the pool via
-//! [`spawn_cancellable`](ThreadPool::spawn_cancellable) and stored on
-//! completion.  Stored records reserialise byte-identically to a fresh run
-//! (see [`ccs_experiment::result_store`]), so clients cannot tell a memo
-//! hit from a cold run except by the `cached` flag and the wall-clock.
-//! Requests submitted with the batch engine group their uncached points
+//! Each request decomposes into [`Experiment::sweep_points`], and a
+//! submit looks every point up in the persistent [`ResultStore`] (when
+//! the service has one) once, on the submitting session's thread.  A
+//! point is *stored* when all its records are.  A request whose points
+//! are all stored is answered right there — its
+//! `accepted`, `result` (`cached: true`) and `status` frames leave as one
+//! message — and never reaches the queue, a worker or the pool; queue
+//! backpressure and deadlines apply only to requests that need
+//! simulation.  Those queue with the stored records already found: the
+//! worker streams them, plus any missing point another request stored
+//! while this one waited, then simulates the rest on the pool via
+//! [`spawn_cancellable`](ThreadPool::spawn_cancellable) and stores each
+//! completed point.  Stored records leave as the store's canonical compact
+//! JSON, spliced into the frame ([`crate::protocol::write_cached_result_line`]),
+//! byte-identical to a fresh run's frame (see
+//! [`ccs_experiment::result_store`]), so clients cannot tell a memo hit
+//! from a cold run except by the `cached` flag and the wall-clock.
+//! Requests submitted with the batch engine group their missing points
 //! with [`Experiment::batch_groups`] instead, so a latency sweep's points
 //! share one recorded pass per group (records stay byte-identical, and the
 //! canonical keys fold onto the event engine's — a batched request hits
 //! the entries an event request stored, and vice versa).
+//!
+//! Builds are shared across requests through one service-owned
+//! [`BuildCache`]: every request's experiment carries a handle to it, so
+//! requests that share a build key but not store keys (the same workload
+//! and cores with another scheduler list, or `baseline` toggled) reuse the
+//! build and the streams and lanes compiled on it.  Its byte budget
+//! ([`BUILD_CACHE_BYTES`], counted over what the entries hold) bounds the
+//! whole daemon's build memory, however many workers run.
 //!
 //! Cancellation rides on [`CancelToken`]s: each request gets a child of the
 //! service's root token.  Tripping the request token drops the request's
@@ -53,26 +69,39 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ccs_experiment::canon::record_keys;
-use ccs_experiment::{Experiment, ResultStore, RunRecord, SweepPoint};
+use ccs_experiment::{BuildCache, Experiment, ResultStore, RunRecord, SweepPoint};
 use ccs_runtime::{CancelToken, Policy, ThreadPool};
 use ccs_sched::SchedulerSpec;
 use ccs_sim::{CmpConfig, SimEngine};
 use parking_lot::{Condvar, Mutex};
 
-use crate::protocol::{Frame, HealthReport, RequestState, SubmitRequest};
+use crate::protocol::{write_cached_result_line, Frame, HealthReport, RequestState, SubmitRequest};
 use crate::queue::{RequestQueue, SubmitError};
+use crate::session::Outbox;
+
+/// Budget of the build cache all requests of a [`Service`] share: the
+/// heap its builds hold — trace arenas, DAGs and the streams and lanes
+/// compiled on them — is kept at or below this at every insertion (see
+/// [`BuildCache`]).  A quarter of the process default's
+/// ([`BUDGET_BYTES`](ccs_experiment::build_cache::BUDGET_BYTES)): the
+/// store answers every repeat of a record, so the daemon's builds pay off
+/// only for requests that vary schedulers or `baseline` over the same
+/// workload and cores — typically in quick succession — and a short LRU
+/// window of recent builds serves those.
+pub const BUILD_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Tuning knobs of a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Root directory of the persistent result store; `None` disables
-    /// cross-process memoisation (the in-process build cache still applies).
+    /// memoisation (the service's build cache still shares builds).
     pub store_dir: Option<PathBuf>,
     /// Disk budget for the result store (`--store-max-bytes`): when set,
     /// every store write evicts least-recently-used entries over budget
     /// (see [`ResultStore::open_bounded`]).  `None` grows unboundedly.
     pub store_max_bytes: Option<u64>,
-    /// Maximum queued (accepted but not yet running) requests.
+    /// Maximum queued (accepted but not yet running) requests that need
+    /// simulation; requests the store answers in full never queue.
     pub queue_capacity: usize,
     /// Request workers: how many requests run concurrently.
     pub workers: usize,
@@ -92,7 +121,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A request validated and resolved, ready to queue: the output of
+/// A request validated and resolved, ready to submit: the output of
 /// [`Service::prepare`].
 pub struct PreparedRequest {
     /// The client's request id.
@@ -106,6 +135,8 @@ pub struct PreparedRequest {
     /// Total records a complete run produces.
     pub total: usize,
     exp: Arc<Experiment>,
+    /// The experiment's sweep points, in report order.
+    sweep: Vec<SweepPoint>,
     schedulers: Vec<SchedulerSpec>,
     engine: SimEngine,
     baseline: bool,
@@ -113,13 +144,26 @@ pub struct PreparedRequest {
     timeout: Option<Duration>,
 }
 
+/// One sweep point as the result store answered it at submit.
+enum Lookup {
+    /// Every record of the point is stored: their canonical compact JSON,
+    /// in resolved-scheduler order.
+    Stored(Vec<Arc<str>>),
+    /// At least one record is missing: the point simulates, and its
+    /// records are stored under these keys (empty without a store).
+    Missing(Vec<String>),
+}
+
 /// A queued request: the prepared experiment plus its session plumbing.
 struct QueuedRequest {
     prepared: PreparedRequest,
+    /// Per point, what the store held at submit — the worker serves the
+    /// stored points from this and looks up only the missing ones again.
+    lookups: Vec<Lookup>,
     /// The request's progress-book entry (see [`ProgressBook`]).
     progress_seq: u64,
     token: CancelToken,
-    reply: mpsc::Sender<Frame>,
+    reply: Outbox,
     /// Deadline registration, when the request carried `timeout_ms`.  The
     /// clock runs from submit, so queue wait counts against the deadline.
     deadline: Option<DeadlineHandle>,
@@ -181,6 +225,17 @@ impl ProgressBook {
         if self.entries.get(id).is_some_and(|p| p.seq == seq) {
             self.entries.remove(id);
         }
+    }
+
+    /// Record a request that completed as it started — answered from the
+    /// store — straight into the finished window.
+    fn start_finished(&mut self, id: &str, total: usize, cached: usize) {
+        let seq = self.start(id, total);
+        if let Some(progress) = self.entries.get_mut(id) {
+            progress.completed = total;
+            progress.cached = cached;
+        }
+        self.finish(id, seq);
     }
 
     /// Move a request into the finished window, evicting the oldest
@@ -303,6 +358,9 @@ struct ServiceInner {
     queue: RequestQueue<QueuedRequest>,
     pool: ThreadPool,
     store: Option<ResultStore>,
+    /// Builds shared by every request of this service (see the module
+    /// docs); private to the service, so two services never share one.
+    builds: Arc<BuildCache>,
     root: CancelToken,
     /// Request id → progress, inserted at submit and updated as records
     /// stream.  Entries outlive completion in a bounded window
@@ -338,6 +396,7 @@ impl Service {
             queue: RequestQueue::new(config.queue_capacity),
             pool: ThreadPool::new(config.pool_threads, Policy::WorkStealing),
             store,
+            builds: Arc::new(BuildCache::with_budget(BUILD_CACHE_BYTES)),
             root: CancelToken::new(),
             progress: Mutex::new(ProgressBook::default()),
             deadlines: Arc::new(DeadlineWatcher::new()),
@@ -416,22 +475,24 @@ impl Service {
             .scale(req.scale)
             .quick(req.quick)
             .engine(req.engine)
-            .sequential_baseline(req.baseline);
+            .sequential_baseline(req.baseline)
+            .build_cache(Arc::clone(&self.inner.builds));
         if !schedulers.is_empty() {
             exp = exp.schedulers(schedulers);
         }
         if !configs.is_empty() {
             exp = exp.configs(configs);
         }
-        let points = exp.sweep_points().len();
+        let sweep = exp.sweep_points();
         let schedulers = exp.resolved_schedulers();
         Ok(PreparedRequest {
             id: req.id.clone(),
             name,
             scale: exp.effective_scale(),
-            points,
-            total: points * schedulers.len(),
+            points: sweep.len(),
+            total: sweep.len() * schedulers.len(),
             exp: Arc::new(exp),
+            sweep,
             schedulers,
             engine: req.engine,
             baseline: req.baseline,
@@ -439,16 +500,36 @@ impl Service {
         })
     }
 
-    /// Queue a prepared request.  `reply` receives every frame about it;
-    /// `pending` (if any) is dropped when the request reaches its terminal
-    /// status — sessions use it as their drain counter.
-    pub fn submit(
+    /// Submit a prepared request.  Its points are looked up in the result
+    /// store once, here.  A request whose every record is stored is
+    /// answered on the calling thread: `accepted`, the `result` frames and
+    /// the `done` status go to `reply` as one message, and the request
+    /// never touches the queue or a worker — queue backpressure and the
+    /// `timeout_ms` deadline apply only to requests that need simulation.
+    /// Those queue, carrying the stored records already found, and fail
+    /// fast when the queue is full or closed; while it is full, a request
+    /// is refused at its first absent record, before any entry is read.
+    /// `reply` receives every frame about the request; `pending` (if any)
+    /// is dropped when the request reaches its terminal status — sessions
+    /// use it as their drain counter.
+    pub(crate) fn submit(
         &self,
         prepared: PreparedRequest,
         token: CancelToken,
-        reply: mpsc::Sender<Frame>,
+        reply: Outbox,
         pending: Option<Box<dyn std::any::Any + Send>>,
     ) -> Result<(), SubmitError> {
+        if self.inner.queue.is_closed() {
+            return Err(SubmitError::Closed);
+        }
+        if self.inner.queue.is_full() && !self.maybe_stored(&prepared) {
+            return Err(SubmitError::Full);
+        }
+        let lookups = self.lookup(&prepared);
+        if lookups.iter().all(|l| matches!(l, Lookup::Stored(_))) {
+            self.answer_from_store(&prepared, &lookups, &reply);
+            return Ok(());
+        }
         let id = prepared.id.clone();
         let progress_seq = self.inner.progress.lock().start(&id, prepared.total);
         // The deadline clock starts here: time spent queued counts, so a
@@ -460,6 +541,7 @@ impl Service {
             .map(|timeout| self.inner.deadlines.register(timeout, token.clone()));
         let result = self.inner.queue.submit(QueuedRequest {
             prepared,
+            lookups,
             progress_seq,
             token,
             reply,
@@ -472,6 +554,64 @@ impl Service {
             self.inner.progress.lock().forget(&id, progress_seq);
         }
         result
+    }
+
+    /// Whether the store may hold every record of `req`: probes
+    /// ([`ResultStore::contains`]) in point order and stops at the first
+    /// absent one, so a request the full queue is about to refuse pays no
+    /// entry reads and promotes nothing.
+    fn maybe_stored(&self, req: &PreparedRequest) -> bool {
+        let Some(store) = &self.inner.store else {
+            return false;
+        };
+        req.sweep
+            .iter()
+            .all(|point| point_keys(req, point).iter().all(|key| store.contains(key)))
+    }
+
+    /// Each sweep point of `req` as the store holds it.  A point is
+    /// [`Lookup::Stored`] only when *all* its records are.
+    fn lookup(&self, req: &PreparedRequest) -> Vec<Lookup> {
+        let Some(store) = &self.inner.store else {
+            return req
+                .sweep
+                .iter()
+                .map(|_| Lookup::Missing(Vec::new()))
+                .collect();
+        };
+        req.sweep
+            .iter()
+            .map(|point| {
+                let keys = point_keys(req, point);
+                match keys.iter().map(|key| store.get_json(key)).collect() {
+                    Some(records) => Lookup::Stored(records),
+                    None => Lookup::Missing(keys),
+                }
+            })
+            .collect()
+    }
+
+    /// Answer a fully stored request in one message: `accepted`, every
+    /// record, `status`.  The progress book records it finished before the
+    /// status leaves, so a client reacting to `done` can `query` it.
+    fn answer_from_store(&self, req: &PreparedRequest, lookups: &[Lookup], reply: &Outbox) {
+        self.inner
+            .progress
+            .lock()
+            .start_finished(&req.id, req.total, req.total);
+        let mut burst = String::new();
+        write_frame(&mut burst, &accepted(req));
+        write_stored(&mut burst, req, lookups);
+        write_frame(
+            &mut burst,
+            &Frame::Status {
+                id: req.id.clone(),
+                state: RequestState::Done,
+                completed: req.total,
+                total: req.total,
+            },
+        );
+        reply.lines(burst);
     }
 
     /// Progress of a submitted request: `(completed, total, cached)`
@@ -577,11 +717,48 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Drive one request end to end: stream cache hits, batch the rest onto the
-/// pool, store fresh records, emit the terminal status.
+/// The request's `accepted` frame.
+fn accepted(req: &PreparedRequest) -> Frame {
+    Frame::Accepted {
+        id: req.id.clone(),
+        name: req.name.clone(),
+        scale: req.scale,
+        points: req.points,
+        total: req.total,
+    }
+}
+
+/// Append `frame`'s line, newline included.
+fn write_frame(out: &mut String, frame: &Frame) {
+    frame.write_line(out);
+    out.push('\n');
+}
+
+/// Append the `result` lines of every stored point, the record text
+/// spliced in; returns how many records that was.
+fn write_stored(out: &mut String, req: &PreparedRequest, lookups: &[Lookup]) -> usize {
+    let per_point = req.schedulers.len();
+    let mut written = 0;
+    for (index, lookup) in lookups.iter().enumerate() {
+        let Lookup::Stored(records) = lookup else {
+            continue;
+        };
+        for (offset, record) in records.iter().enumerate() {
+            let seq = index * per_point + offset;
+            write_cached_result_line(out, &req.id, seq, req.total, record);
+            out.push('\n');
+            written += 1;
+        }
+    }
+    written
+}
+
+/// Drive one queued request end to end: stream its stored points, batch
+/// the rest onto the pool, store fresh records, emit the terminal status.
 fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     let QueuedRequest {
         prepared: req,
+        mut lookups,
         progress_seq,
         token,
         reply,
@@ -589,37 +766,9 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
         _pending,
     } = request;
     let total = req.total;
-    let mut completed = 0usize;
-    inner.inflight.fetch_add(1, Ordering::Relaxed);
-
-    let accepted = Frame::Accepted {
-        id: req.id.clone(),
-        name: req.name.clone(),
-        scale: req.scale,
-        points: req.points,
-        total,
-    };
-    // A failed send means the session is gone; cancel so queued points of
-    // this request stop consuming the pool.
-    if reply.send(accepted).is_err() {
-        token.cancel();
-    }
-
     let per_point = req.schedulers.len();
-    let mut emit = |seq_base: usize, records: &[RunRecord], cached: bool| {
-        for (offset, record) in records.iter().enumerate() {
-            completed += 1;
-            let frame = Frame::Result {
-                id: req.id.clone(),
-                seq: seq_base + offset,
-                total,
-                cached,
-                record: record.clone(),
-            };
-            if reply.send(frame).is_err() {
-                token.cancel();
-            }
-        }
+    inner.inflight.fetch_add(1, Ordering::Relaxed);
+    let note_progress = |completed: usize, cached: usize| {
         if let Some(progress) = inner
             .progress
             .lock()
@@ -628,38 +777,49 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
             .filter(|p| p.seq == progress_seq)
         {
             progress.completed = completed;
-            if cached {
-                progress.cached += records.len();
-            }
+            progress.cached = cached;
         }
     };
-    // Serve a point from the store when *all* its records are there.
-    let stored_records = |point: &SweepPoint| -> Option<Vec<RunRecord>> {
-        let store = inner.store.as_ref()?;
-        point_keys(&req, point)
-            .iter()
-            .map(|key| store.get(key))
-            .collect()
-    };
 
-    let points = req.exp.sweep_points();
+    // `accepted` and the stored points leave as one burst — unless the
+    // request was cancelled (or expired) while queued, which ends it with
+    // no records.  Points missing at submit are looked up again first: a
+    // request queued behind another that simulated them is served from
+    // the store (a front hit under the keys already derived).  A failed
+    // send means the session is gone; cancel so this request's points
+    // stop consuming the pool.
+    let mut burst = String::new();
+    write_frame(&mut burst, &accepted(&req));
+    let mut cached = 0;
+    if !token.is_cancelled() {
+        if let Some(store) = &inner.store {
+            for lookup in &mut lookups {
+                if let Lookup::Missing(keys) = lookup {
+                    if let Some(records) = keys.iter().map(|key| store.get_json(key)).collect() {
+                        *lookup = Lookup::Stored(records);
+                    }
+                }
+            }
+        }
+        cached = write_stored(&mut burst, &req, &lookups);
+    }
+    if !reply.lines(burst) {
+        token.cancel();
+    }
+    let mut completed = cached;
+    if cached > 0 {
+        note_progress(completed, cached);
+    }
+    let missing = |point: &SweepPoint| matches!(lookups[point.index], Lookup::Missing(_));
 
-    // Launch phase: serve stored points immediately, batch the rest.  The
-    // batch engine launches one pool closure per batchable *group* (its
-    // uncached points share a recorded pass); other engines launch one
-    // closure per point.
+    // Launch phase: batch the missing points.  The batch engine launches
+    // one pool closure per batchable *group* (its missing points share a
+    // recorded pass); other engines launch one closure per point.
     let (tx, rx) = mpsc::channel::<PointDone>();
     if !token.is_cancelled() {
         if req.engine == SimEngine::Batch {
             for group in req.exp.batch_groups() {
-                let mut fresh = Vec::new();
-                for point in group {
-                    if let Some(records) = stored_records(&point) {
-                        emit(point.index * per_point, &records, true);
-                    } else {
-                        fresh.push(point);
-                    }
-                }
+                let fresh: Vec<SweepPoint> = group.into_iter().filter(|p| missing(p)).collect();
                 if fresh.is_empty() {
                     continue;
                 }
@@ -694,11 +854,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 });
             }
         } else {
-            for point in &points {
-                if let Some(records) = stored_records(point) {
-                    emit(point.index * per_point, &records, true);
-                    continue;
-                }
+            for point in req.sweep.iter().filter(|p| missing(p)) {
                 let point = point.clone();
                 let exp = Arc::clone(&req.exp);
                 let tx = tx.clone();
@@ -736,16 +892,14 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                     id: Some(req.id.clone()),
                     message: format!("sweep point {} panicked: {message}", done.index),
                 };
-                if reply.send(frame).is_err() {
+                if !reply.frame(&frame) {
                     token.cancel();
                 }
                 continue;
             }
         };
-        if let Some(store) = &inner.store {
-            // Re-deriving the keys here is cheaper than shipping them
-            // through the pool closure.
-            for (key, record) in point_keys(&req, &points[done.index]).iter().zip(&records) {
+        if let (Some(store), Lookup::Missing(keys)) = (&inner.store, &lookups[done.index]) {
+            for (key, record) in keys.iter().zip(&records) {
                 if let Err(e) = store.put(key, record) {
                     // Memoisation is best-effort: the record still streams,
                     // it just won't be served from disk next time.
@@ -753,7 +907,20 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
                 }
             }
         }
-        emit(done.index * per_point, &records, false);
+        for (offset, record) in records.into_iter().enumerate() {
+            completed += 1;
+            let frame = Frame::Result {
+                id: req.id.clone(),
+                seq: done.index * per_point + offset,
+                total,
+                cached: false,
+                record,
+            };
+            if !reply.frame(&frame) {
+                token.cancel();
+            }
+        }
+        note_progress(completed, cached);
     }
 
     // Terminal state, most-specific first: expiry beats plain cancellation,
@@ -775,7 +942,7 @@ fn run_request(inner: &Arc<ServiceInner>, request: QueuedRequest) {
     drop(deadline);
     inner.progress.lock().finish(&req.id, progress_seq);
     inner.inflight.fetch_sub(1, Ordering::Relaxed);
-    let _ = reply.send(Frame::Status {
+    reply.frame(&Frame::Status {
         id: req.id.clone(),
         state,
         completed,

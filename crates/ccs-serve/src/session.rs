@@ -1,10 +1,19 @@
 //! One client connection: the frame loop between a stream and the service.
 //!
 //! A session owns the read half of a connection and a writer thread owning
-//! the write half; every outbound frame — whether produced by the session
-//! itself (`pong`, `error`) or by a service worker streaming results — goes
-//! through one mpsc channel to that writer, so frames are never interleaved
-//! mid-line however many workers stream at once.
+//! the write half.  Every outbound frame is rendered where it is produced —
+//! by the session itself (`pong`, `error`, a request answered from the
+//! store) or by a service worker streaming results — and travels to that
+//! writer as whole lines through one mpsc channel (an `Outbox`), so
+//! frames are never interleaved mid-line however many workers stream at
+//! once, and the writer only copies bytes.
+//!
+//! A `submit` is validated and looked up in the result store here, on the
+//! session thread.  A request whose every record is stored is answered on
+//! the spot: `accepted`, its `result` frames (the stored record text
+//! spliced in) and `status` leave as one message, and the request never
+//! queues.  Only requests that need simulation go to the service's queue
+//! (see [`crate::service`]).
 //!
 //! Lifecycle: greet with `hello`, then read frames until EOF or `shutdown`.
 //! EOF does **not** cancel outstanding requests — a one-shot client
@@ -140,11 +149,35 @@ impl Drop for PendingGuard {
     }
 }
 
+/// The outbound side of a session: rendered frame lines on their way to
+/// the session's writer thread.  Each message holds one or more whole,
+/// newline-terminated lines, so a burst (a request answered from the
+/// store) reaches the socket as one unit.  Clones share the channel.
+#[derive(Clone)]
+pub(crate) struct Outbox(mpsc::Sender<String>);
+
+impl Outbox {
+    /// Render `frame` and send its line.  `false` when the session is
+    /// gone.
+    pub(crate) fn frame(&self, frame: &Frame) -> bool {
+        let mut line = String::with_capacity(128);
+        frame.write_line(&mut line);
+        line.push('\n');
+        self.lines(line)
+    }
+
+    /// Send pre-rendered lines, each terminated by `\n`.  `false` when the
+    /// session is gone.
+    pub(crate) fn lines(&self, lines: String) -> bool {
+        self.0.send(lines).is_ok()
+    }
+}
+
 /// Run one session over `reader`/`writer`.  Blocks until the client
 /// disconnects (and the session has drained) or sends `shutdown`; returns
 /// `true` when the client asked the daemon to shut down.
 pub fn run(service: &Service, reader: impl BufRead, writer: impl Write + Send + 'static) -> bool {
-    let (tx, rx) = mpsc::channel::<Frame>();
+    let (tx, rx) = mpsc::channel::<String>();
     let writer_thread = match thread::Builder::new()
         .name("ccs-serve-writer".to_string())
         .spawn(move || write_loop(writer, rx))
@@ -158,42 +191,39 @@ pub fn run(service: &Service, reader: impl BufRead, writer: impl Write + Send + 
         }
     };
 
-    let shutdown = read_loop(service, reader, &tx, &PendingRequests::new());
+    let shutdown = read_loop(service, reader, &Outbox(tx), &PendingRequests::new());
 
-    // Drain before closing the writer: workers may still be streaming.
-    drop(tx);
+    // `read_loop` returns drained, so no worker holds the outbox any more
+    // and the writer ends once it has written everything queued.
     let _ = writer_thread.join();
     shutdown
 }
 
-fn write_loop(writer: impl Write, rx: mpsc::Receiver<Frame>) {
-    // Frames are encoded into a buffered writer, and the buffer is flushed
-    // only once the queue has run dry: a burst of frames (a cached sweep's
-    // results) leaves in one write, while a lone frame still goes out as
-    // soon as it is encoded — results stream as they complete.  A write
-    // error means the client is gone; stop consuming so senders see the
-    // disconnect (workers then cancel their requests).
+fn write_loop(writer: impl Write, rx: mpsc::Receiver<String>) {
+    // Lines arrive rendered and are copied into a buffered writer, which is
+    // flushed only once the queue has run dry: a burst of frames (a cached
+    // sweep's results) leaves in one write, while a lone frame still goes
+    // out as soon as it arrives — results stream as they complete.  A
+    // write error means the client is gone; stop consuming so senders see
+    // the disconnect (workers then cancel their requests).
     let mut writer = BufWriter::new(writer);
-    let mut line = String::with_capacity(1024);
-    while let Ok(mut frame) = rx.recv() {
+    while let Ok(mut lines) = rx.recv() {
         loop {
             // Fault-plan hook (a no-op unless a plan is installed): a
-            // client on a stalled link.  The abrupt-close injection lives
-            // in the socket layer (`server::FaultableStream`), which can
-            // actually tear the connection down — merely dropping this
-            // writer would leave the reader's duplicate of the socket open
-            // and both sides blocked.
+            // client on a stalled link, one delay per frame.  The
+            // abrupt-close injection lives in the socket layer
+            // (`server::FaultableStream`), which can actually tear the
+            // connection down — merely dropping this writer would leave
+            // the reader's duplicate of the socket open and both sides
+            // blocked.
             if let Some(delay) = fault::session_write_delay() {
-                thread::sleep(delay);
+                thread::sleep(delay * lines.matches('\n').count() as u32);
             }
-            line.clear();
-            frame.write_line(&mut line);
-            line.push('\n');
-            if writer.write_all(line.as_bytes()).is_err() {
+            if writer.write_all(lines.as_bytes()).is_err() {
                 return;
             }
             match rx.try_recv() {
-                Ok(next) => frame = next,
+                Ok(next) => lines = next,
                 Err(_) => break,
             }
         }
@@ -265,11 +295,11 @@ fn into_text(bytes: Vec<u8>) -> String {
 fn read_loop(
     service: &Service,
     mut reader: impl BufRead,
-    tx: &mpsc::Sender<Frame>,
+    out: &Outbox,
     pending: &Arc<PendingRequests>,
 ) -> bool {
     let send = |frame: Frame| {
-        let _ = tx.send(frame);
+        out.frame(&frame);
     };
     send(Frame::hello());
 
@@ -311,9 +341,12 @@ fn read_loop(
                         continue;
                     }
                 };
+                // Answered here when fully stored (the guard drops, and the
+                // id joins the recently finished, before `submit` returns),
+                // queued otherwise.
                 let token = service.request_token();
                 let guard = Box::new(pending.begin(&id, token.clone()));
-                if let Err(e) = service.submit(prepared, token, tx.clone(), Some(guard)) {
+                if let Err(e) = service.submit(prepared, token, out.clone(), Some(guard)) {
                     // The guard travelled into the rejected request and has
                     // already been dropped with it — no pending leak.
                     send(Frame::Error {
@@ -400,11 +433,21 @@ mod tests {
         // request has reached its terminal status.
         let (tx, rx) = mpsc::channel();
         let pending = PendingRequests::new();
-        assert!(!read_loop(&service, input.as_bytes(), &tx, &pending));
-        drop(tx);
+        assert!(!read_loop(
+            &service,
+            input.as_bytes(),
+            &Outbox(tx),
+            &pending
+        ));
         // Ids in the order their requests finished.
         let finished: Vec<String> = rx
             .iter()
+            .flat_map(|lines| {
+                lines
+                    .lines()
+                    .map(|line| Frame::parse(line).unwrap())
+                    .collect::<Vec<_>>()
+            })
             .filter_map(|frame| match frame {
                 Frame::Status {
                     id,

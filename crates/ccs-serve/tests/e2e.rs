@@ -234,6 +234,314 @@ fn progress_query_tracks_requests_without_collecting() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fully stored request is answered on the session thread, outside the
+/// queue: with both workers busy and the queue full it still completes,
+/// byte-identical to its cold run; `query` then reports it complete and
+/// all cached, and a `cancel` arriving after its `status` is a quiet no-op.
+#[test]
+fn stored_repeat_is_answered_while_workers_and_queue_are_saturated() {
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-slowpoke",
+        "sleeps in its factory (saturation test)",
+        |_ctx| {
+            thread::sleep(Duration::from_millis(600));
+            tiny_computation()
+        },
+    );
+    let dir = unique_dir("saturated");
+    let server = Arc::new(
+        Server::start(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            queue_capacity: 1,
+            workers: 2,
+            pool_threads: 2,
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let (mut client, session) = connect(&server);
+
+    client
+        .submit(submit("cold", &["mergesort"], &[2], &["pdf", "ws"]))
+        .unwrap();
+    let cold = client.collect("cold").unwrap();
+    assert_eq!(cold.state, RequestState::Done);
+    assert!(cold.records.iter().all(|r| !r.cached));
+    let cold_json = cold.into_report().to_json();
+
+    // Saturate the daemon: two slow requests occupy both workers and a
+    // third fills the queue, so a fourth that needs simulation is refused.
+    // Each submit waits for the previous one to be picked up, since a
+    // queue of one refuses a second waiting request.
+    for (id, cores, inflight, queued) in [
+        ("slow-a", 2, 1, 0),
+        ("slow-b", 4, 2, 0),
+        ("slow-c", 8, 2, 1),
+    ] {
+        client
+            .submit(submit(id, &["e2e-slowpoke"], &[cores], &["pdf"]))
+            .unwrap();
+        await_load(&mut client, id, inflight, queued);
+    }
+    client
+        .submit(submit("slow-d", &["e2e-slowpoke"], &[16], &["pdf"]))
+        .unwrap();
+    let refused = client.collect("slow-d").unwrap_err();
+    assert!(refused.to_string().contains("queue full"), "{refused}");
+
+    // The stored repeat does not queue: it completes, every record cached.
+    client
+        .submit(submit("warm", &["mergesort"], &[2], &["pdf", "ws"]))
+        .unwrap();
+    let warm = client.collect("warm").unwrap();
+    assert_eq!(warm.state, RequestState::Done);
+    assert!(warm.all_cached());
+    assert_eq!(warm.into_report().to_json(), cold_json);
+
+    assert_eq!(client.query_progress("warm").unwrap(), (2, 2, 2));
+    // A cancel racing the finished request earns no error frame: the next
+    // frame about "warm" is the progress answer.
+    client.cancel("warm").unwrap();
+    assert_eq!(client.query_progress("warm").unwrap(), (2, 2, 2));
+
+    for id in ["slow-a", "slow-b", "slow-c"] {
+        assert_eq!(client.collect(id).unwrap().state, RequestState::Done);
+    }
+    drop(client);
+    assert!(!session.join().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Wait until the daemon reports `inflight` running and `queued` queued
+/// requests (panicking after 10 s).
+fn await_load(client: &mut PairClient, what: &str, inflight: usize, queued: usize) {
+    let waited = std::time::Instant::now();
+    loop {
+        let health = client.health().unwrap();
+        if (health.inflight, health.queue_depth) == (inflight, queued) {
+            return;
+        }
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "{what}: expected {inflight} in flight and {queued} queued, got {health:?}"
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A request that queued behind another simulating the same points is
+/// served from the store once it runs: the worker looks the points missing
+/// at submit up again instead of simulating them a second time.
+#[test]
+fn request_queued_behind_the_same_points_is_served_from_the_store() {
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-overlap",
+        "sleeps in its factory (queued-overlap test)",
+        |_ctx| {
+            thread::sleep(Duration::from_millis(600));
+            tiny_computation()
+        },
+    );
+    let dir = unique_dir("overlap");
+    let server = Arc::new(
+        Server::start(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let (mut client, session) = connect(&server);
+
+    let request = |id| submit(id, &["e2e-overlap"], &[2, 4], &["pdf", "ws"]);
+    client.submit(request("first")).unwrap();
+    await_load(&mut client, "first", 1, 0);
+    client.submit(request("second")).unwrap();
+    await_load(&mut client, "second", 1, 1);
+
+    let first = client.collect("first").unwrap();
+    let second = client.collect("second").unwrap();
+    assert_eq!(
+        (first.state, second.state),
+        (RequestState::Done, RequestState::Done)
+    );
+    assert!(first.records.iter().all(|r| !r.cached));
+    assert!(second.all_cached(), "the queued repeat simulated again");
+    assert_eq!(
+        second.into_report().to_json(),
+        first.into_report().to_json()
+    );
+
+    drop(client);
+    assert!(!session.join().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request cancelled while queued ends with no records, even when some
+/// of its points are stored.
+#[test]
+fn request_cancelled_while_queued_sends_no_stored_records() {
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-blocker",
+        "sleeps in its factory (cancelled-while-queued test)",
+        |_ctx| {
+            thread::sleep(Duration::from_millis(600));
+            tiny_computation()
+        },
+    );
+    let dir = unique_dir("queued-cancel");
+    let server = Arc::new(
+        Server::start(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let (mut client, session) = connect(&server);
+
+    client
+        .submit(submit("seed", &["mergesort"], &[2], &["pdf"]))
+        .unwrap();
+    assert_eq!(client.collect("seed").unwrap().state, RequestState::Done);
+
+    client
+        .submit(submit("blocker", &["e2e-blocker"], &[2], &["pdf"]))
+        .unwrap();
+    await_load(&mut client, "blocker", 1, 0);
+    // Half stored (mergesort), half not: it queues behind the blocker.
+    client
+        .submit(submit(
+            "mixed",
+            &["mergesort", "e2e-blocker"],
+            &[2],
+            &["pdf"],
+        ))
+        .unwrap();
+    await_load(&mut client, "mixed", 1, 1);
+    client.cancel("mixed").unwrap();
+
+    let mixed = client.collect("mixed").unwrap();
+    assert_eq!(mixed.state, RequestState::Cancelled);
+    assert!(mixed.records.is_empty(), "{} records", mixed.records.len());
+    assert_eq!(client.collect("blocker").unwrap().state, RequestState::Done);
+
+    drop(client);
+    assert!(!session.join().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// While the queue is full, a request that needs simulation is refused at
+/// its first absent record without reading any entry: the stored records
+/// ahead of it stay on disk, out of the in-memory front.
+#[test]
+fn full_queue_refuses_a_partly_stored_request_before_reading_entries() {
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-queue-filler",
+        "sleeps in its factory (full-queue refusal test)",
+        |_ctx| {
+            thread::sleep(Duration::from_millis(600));
+            tiny_computation()
+        },
+    );
+    let dir = unique_dir("full-queue");
+    let config = ServiceConfig {
+        store_dir: Some(dir.clone()),
+        queue_capacity: 1,
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    {
+        let server = Arc::new(Server::start(config.clone()).unwrap());
+        let (mut client, session) = connect(&server);
+        client
+            .submit(submit("seed", &["mergesort"], &[2, 4], &["pdf"]))
+            .unwrap();
+        assert_eq!(client.collect("seed").unwrap().state, RequestState::Done);
+        drop(client);
+        session.join().unwrap();
+    }
+
+    // A restarted daemon: the entries are on disk, the front is empty.
+    let server = Arc::new(Server::start(config).unwrap());
+    let (mut client, session) = connect(&server);
+    for (id, cores, queued) in [("filler-a", 2, 0), ("filler-b", 4, 1)] {
+        client
+            .submit(submit(id, &["e2e-queue-filler"], &[cores], &["pdf"]))
+            .unwrap();
+        await_load(&mut client, id, 1, queued);
+    }
+    client
+        .submit(submit(
+            "partial",
+            &["mergesort", "e2e-queue-filler"],
+            &[2, 4],
+            &["pdf"],
+        ))
+        .unwrap();
+    let refused = client.collect("partial").unwrap_err();
+    assert!(refused.to_string().contains("queue full"), "{refused}");
+    assert_eq!(client.health().unwrap().store_records, 0);
+
+    // A fully stored repeat is still answered.
+    client
+        .submit(submit("repeat", &["mergesort"], &[2, 4], &["pdf"]))
+        .unwrap();
+    assert!(client.collect("repeat").unwrap().all_cached());
+
+    for id in ["filler-a", "filler-b"] {
+        assert_eq!(client.collect(id).unwrap().state, RequestState::Done);
+    }
+    drop(client);
+    assert!(!session.join().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Requests that share a build key but not store keys — the same workload
+/// and cores with another scheduler list, or `baseline` toggled — simulate
+/// on the build the first one made: the service's build cache outlives
+/// requests.
+#[test]
+fn requests_varying_schedulers_and_baseline_share_one_build() {
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
+    ccs_workloads::WorkloadRegistry::global().register_fn(
+        "e2e-build-counter",
+        "counts its builds (cross-request build reuse test)",
+        |_ctx| {
+            BUILDS.fetch_add(1, Ordering::SeqCst);
+            tiny_computation()
+        },
+    );
+    let dir = unique_dir("shared-builds");
+    let server = Arc::new(
+        Server::start(ServiceConfig {
+            store_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap(),
+    );
+    let (mut client, session) = connect(&server);
+
+    let mut no_baseline = submit("pdf-alone", &["e2e-build-counter"], &[2], &["pdf"]);
+    no_baseline.baseline = false;
+    for request in [
+        submit("pdf", &["e2e-build-counter"], &[2], &["pdf"]),
+        submit("ws", &["e2e-build-counter"], &[2], &["ws"]),
+        no_baseline,
+    ] {
+        let id = request.id.clone();
+        client.submit(request).unwrap();
+        let run = client.collect(&id).unwrap();
+        assert_eq!(run.state, RequestState::Done);
+        assert!(run.records.iter().all(|r| !r.cached), "{id} hit the store");
+    }
+    assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
+
+    drop(client);
+    assert!(!session.join().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn batch_engine_requests_stream_byte_identically_and_share_store_entries() {
     let dir = unique_dir("batch");

@@ -12,10 +12,14 @@
 //! inverts encoding, and reordered, re-spaced, key-escaped lines with
 //! unknown members decode like the canonical line — for random records
 //! and frames with extreme integers, non-finite floats and hostile strings.
+//! A cached `result` line, spliced from the store's record text, matches
+//! the rendered frame byte for byte.
 
 use ccs_experiment::json::{self, Json};
 use ccs_experiment::RunRecord;
-use ccs_serve::protocol::{Frame, HealthReport, RequestState, SubmitRequest};
+use ccs_serve::protocol::{
+    write_cached_result_line, Frame, HealthReport, RequestState, SubmitRequest,
+};
 use ccs_sim::SimEngine;
 use proptest::prelude::*;
 
@@ -521,6 +525,32 @@ proptest! {
             RunRecord::parse_json(&scrambled),
             RunRecord::from_json(&json::parse(&scrambled).unwrap())
         );
+    }
+
+    /// Cached results: the line spliced from a record's canonical compact
+    /// JSON (the text the result store keeps) is byte-identical to the
+    /// rendered `Frame::Result`, and a decodable one parses back to the
+    /// same record.
+    #[test]
+    fn spliced_result_lines_match_rendered_frames(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let record = record(&mut g);
+        let (id, seq, total) = (g.string(), g.u64() as usize, g.u64() as usize);
+        let mut spliced = String::new();
+        write_cached_result_line(&mut spliced, &id, seq, total, &record.to_json_line());
+        let frame = Frame::Result { id, seq, total, cached: true, record: record.clone() };
+        prop_assert_eq!(&spliced, &frame.to_line());
+        let decodable = record.l2_mpki.is_finite() && record.bandwidth_utilization.is_finite();
+        match Frame::parse(&spliced) {
+            Ok(Frame::Result { record: parsed, cached: true, .. }) => {
+                prop_assert!(decodable);
+                if record.speedup_over_seq.is_none_or(f64::is_finite) {
+                    prop_assert_eq!(parsed, record);
+                }
+            }
+            Ok(other) => prop_assert!(false, "parsed as {:?}", other),
+            Err(e) => prop_assert!(!decodable, "{}", e),
+        }
     }
 
     /// Frames: encoder bytes == tree bytes, `parse(render(x))` renders

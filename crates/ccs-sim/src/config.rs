@@ -20,6 +20,16 @@ use ccs_cache::{CacheConfig, MemoryConfig};
 
 use crate::area::{self, Technology};
 
+/// Table 2's default design points: cores, technology, L2 megabytes.
+const TABLE2: [(usize, Technology, u64); 6] = [
+    (1, Technology::Nm90, 10),
+    (2, Technology::Nm90, 8),
+    (4, Technology::Nm90, 4),
+    (8, Technology::Nm65, 8),
+    (16, Technology::Nm45, 20),
+    (32, Technology::Nm32, 40),
+];
+
 /// A complete CMP design point.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CmpConfig {
@@ -82,25 +92,20 @@ impl CmpConfig {
     /// The six default (scaling-technology) configurations of Table 2, for
     /// 1, 2, 4, 8, 16 and 32 cores.
     pub fn default_configs() -> Vec<CmpConfig> {
-        [
-            (1usize, Technology::Nm90, 10u64),
-            (2, Technology::Nm90, 8),
-            (4, Technology::Nm90, 4),
-            (8, Technology::Nm65, 8),
-            (16, Technology::Nm45, 20),
-            (32, Technology::Nm32, 40),
-        ]
-        .into_iter()
-        .map(|(cores, tech, mb)| CmpConfig::from_l2_mb(format!("default-{cores}"), tech, cores, mb))
-        .collect()
+        TABLE2.iter().map(Self::table2_config).collect()
     }
 
     /// The default configuration with the given number of cores (1, 2, 4, 8,
     /// 16 or 32).
     pub fn default_with_cores(cores: usize) -> Option<CmpConfig> {
-        Self::default_configs()
-            .into_iter()
-            .find(|c| c.num_cores == cores)
+        TABLE2
+            .iter()
+            .find(|row| row.0 == cores)
+            .map(Self::table2_config)
+    }
+
+    fn table2_config(&(cores, tech, mb): &(usize, Technology, u64)) -> CmpConfig {
+        CmpConfig::from_l2_mb(format!("default-{cores}"), tech, cores, mb)
     }
 
     /// The fourteen single-technology (45 nm) configurations of Table 3, for
