@@ -1,6 +1,6 @@
-//! The id-native compiled cache: the probe path of [`SetAssocCache`]
-//! specialised for callers that resolved their addresses to dense `u32`
-//! line ids up front.
+//! The id-native compiled cache: the simulator's set-associative, true-LRU,
+//! write-back cache, probed by `(set, u32 tag)` pairs that callers
+//! resolved from dense line ids up front.
 //!
 //! The CMP simulator's hot loop probes a cache once per line-granular
 //! trace step.  With the precompiled line streams of `ccs-dag::stream`
@@ -10,24 +10,26 @@
 //! lines always have distinct ids, in any set), and it fits in 31 bits by
 //! construction (`STEP_ID_MASK`).  [`CompiledCache`] exploits that:
 //!
-//! * tags are `u32` — half the bytes of [`SetAssocCache`]'s `u64` line
-//!   tags, so a 16-way set's tag array is a single 64-byte cache line on
-//!   the host and the probe scan touches half the memory;
+//! * tags are `u32`, so a 16-way set's tag array is a single 64-byte
+//!   cache line on the host;
 //! * a probe takes `(set, tag)` directly — no line masking, no shift/mask
 //!   or modulo set indexing, no address table load;
 //! * probes report a bare `bool` hit — eviction bookkeeping stays in the
 //!   statistics, where the simulator reads it.
 //!
-//! Layout and replacement are **identical** to [`SetAssocCache`]:
-//! positional true LRU (each set kept MRU→LRU in one flat array, victim =
-//! last way, empties as the suffix) with the dirty bit folded into tag
-//! bit 0.  Tags passed in must therefore be *pre-shifted* line ids —
-//! [`line_tag`] (`id << 1`) — leaving bit 0 free.  Every statistics
-//! decision (hit/miss, eviction, write-back) matches `SetAssocCache`
-//! probe-for-probe; the engine-equivalence suite pins the two models (and
-//! the retained reference `RefCache`) metrics-identical.
+//! Recency is **positional** true LRU: each set is kept MRU→LRU in one
+//! flat array, a touch shifts the way to the front, the victim is always
+//! the last way and empty ways form the suffix — the classic LRU stack,
+//! with no timestamps, no clock and no argmin scan on a miss.  The dirty
+//! bit folds into tag bit 0, so tags passed in must be *pre-shifted* line
+//! ids — [`line_tag`] (`id << 1`) — leaving bit 0 free.  Every statistics
+//! decision (hit/miss, eviction, write-back) and the per-set recency order
+//! match the executable spec [`RefCache`] probe for probe (line id `i` ↔
+//! line address `i × line size`): `tests::lockstep_with_setassoc` pins
+//! that, and the engine-equivalence suite pins the engines built on the
+//! two metrics-identical.
 //!
-//! [`SetAssocCache`]: crate::SetAssocCache
+//! [`RefCache`]: crate::reference::RefCache
 
 use crate::stats::CacheStats;
 
@@ -141,8 +143,8 @@ fn move_to_front(ways: &mut [u32], tag: u32, dirty: bool) -> (bool, u32) {
 }
 
 /// A set-associative, true-LRU, write-back cache probed by `(set, u32
-/// tag)` instead of by address — the id-native twin of
-/// [`SetAssocCache`](crate::SetAssocCache) (see the module docs).
+/// tag)` instead of by address (see the module docs); the production
+/// counterpart of [`RefCache`](crate::reference::RefCache).
 #[derive(Clone, Debug)]
 pub struct CompiledCache {
     /// Tag per way (`line_tag(id) | DIRTY_BIT`), `num_sets × assoc` flat;
@@ -223,7 +225,7 @@ impl CompiledCache {
 
     /// Probe the cache: returns whether the line was resident, touching
     /// LRU state, the folded dirty bit and the statistics exactly as
-    /// [`SetAssocCache::access_line`](crate::SetAssocCache::access_line)
+    /// [`RefCache::access_line`](crate::reference::RefCache::access_line)
     /// does for the same line.  On a miss the line is allocated
     /// (write-allocate), evicting — and recording — the LRU way of a full
     /// set.
@@ -303,12 +305,11 @@ impl CompiledCache {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::setassoc::SetAssocCache;
+    use crate::reference::RefCache;
     use ccs_dag::AccessKind;
 
-    /// 2 sets × 2 ways, mirroring `setassoc::tests::small_cache` (4 lines
-    /// of 64 B): line id `i` stands for line address `i * 64`, so id and
-    /// set mappings coincide with the address-keyed tests.
+    /// 2 sets × 2 ways (4 lines of 64 B): line id `i` stands for line
+    /// address `i * 64`, so set `i % 2`.
     fn small() -> CompiledCache {
         CompiledCache::new(2, 2)
     }
@@ -392,11 +393,12 @@ mod tests {
         assert_eq!(c.stats().misses, before.misses);
     }
 
-    /// Lockstep with the address-keyed model: a seeded mix of probes
-    /// (reads and dirtying writes), fills, invalidations and residency
-    /// queries must agree on every hit/miss and invalidation result and on
-    /// the statistics (so every eviction and write-back) after every
-    /// operation, and leave the same way array.  The associativities cover
+    /// Lockstep with the executable spec [`RefCache`]: a seeded mix of
+    /// probes (reads and dirtying writes), fills, invalidations and
+    /// residency queries must agree on every hit/miss and invalidation
+    /// result and on the statistics (so every eviction and write-back)
+    /// after every operation, and leave every set holding the same lines
+    /// and dirty bits in the same recency order.  The associativities cover
     /// every 4-way chunk remainder of the match mask, the 64-way mask
     /// limit and the scalar fallback past it; invalidation-heavy phases
     /// keep sets partially empty.
@@ -411,7 +413,7 @@ mod tests {
 
     fn lockstep(num_sets: u64, assoc: u32, seed: u64) {
         let cfg = CacheConfig::new(num_sets * u64::from(assoc) * 64, 64, assoc, 1);
-        let mut addr_keyed = SetAssocCache::new(cfg);
+        let mut spec = RefCache::new(cfg);
         let mut compiled = CompiledCache::new(cfg.num_sets(), cfg.associativity);
         // Line id i <-> line address i * 64; set = i % num_sets.  Half
         // again as many lines as ways, so full sets evict.
@@ -444,39 +446,42 @@ mod tests {
                     } else {
                         AccessKind::Read
                     };
-                    let hit = addr_keyed.access_line(line, kind).hit;
+                    let hit = spec.access_line(line, kind).hit;
                     assert_eq!(compiled.access_compiled(set, tag, write), hit, "{what}");
                 }
                 1 => {
-                    addr_keyed.fill_line(line, write);
+                    spec.fill_line(line, write);
                     compiled.fill_compiled(set, tag, write);
                 }
                 2 => {
-                    let dirty = addr_keyed.invalidate_line(line);
+                    let dirty = spec.invalidate_line(line);
                     assert_eq!(compiled.invalidate_compiled(set, tag), dirty, "{what}");
                 }
                 _ => {
                     assert_eq!(
-                        addr_keyed.contains_line(line),
+                        spec.contains_line(line),
                         compiled.contains_compiled(set, tag),
                         "{what}"
                     );
                 }
             }
-            assert_eq!(*addr_keyed.stats(), *compiled.stats(), "{what}");
+            assert_eq!(*spec.stats(), *compiled.stats(), "{what}");
             let resident = compiled.resident_lines() as u64;
             partially_empty |= resident > 0 && resident < num_sets * u64::from(assoc);
         }
-        let expected: Vec<u32> = addr_keyed
-            .ways()
-            .iter()
-            .map(|&way| match way {
-                u64::MAX => INVALID_TAG,
-                way => line_tag((way / 64) as u32) | (way & 1) as u32,
+        // The spec's sets in recency order, as positional-LRU way arrays.
+        let expected: Vec<u32> = (0..num_sets as usize)
+            .flat_map(|set| {
+                let mut ways: Vec<u32> = spec
+                    .recency_order(set)
+                    .into_iter()
+                    .map(|(line, dirty)| line_tag((line / 64) as u32) | dirty as u32)
+                    .collect();
+                ways.resize(assoc as usize, INVALID_TAG);
+                ways
             })
             .collect();
         assert_eq!(compiled.tags, expected, "{assoc}-way, {num_sets} sets");
-        assert_eq!(addr_keyed.resident_lines(), compiled.resident_lines());
         assert!(
             compiled.stats().evictions > 0 && compiled.stats().writebacks > 0,
             "{assoc}-way, {num_sets} sets: the mix must evict dirty lines"

@@ -48,10 +48,12 @@ impl CacheConfig {
 
     /// Check internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        // Minimum 4: the cache models fold the dirty flag into tag bit 0
-        // and mark empty ways with the all-ones sentinel, which is
-        // collision-free exactly when aligned line addresses have (at
-        // least) the two low bits clear (see `ccs-cache::setassoc`).
+        // Minimum 4: keeps the two low bits of every line-aligned address
+        // clear, so an address-keyed cache can fold a dirty flag into tag
+        // bit 0 and mark empty ways with an all-ones sentinel without a
+        // collision.  The id-keyed `CompiledCache` does not need it, but
+        // the bound fixes the set of geometries every model and report
+        // accepts; the paper's machines all use 128 B lines.
         if !self.line_size.is_power_of_two() || self.line_size < 4 {
             return Err(format!(
                 "line size {} must be a power of two >= 4",
@@ -87,12 +89,6 @@ impl CacheConfig {
     #[inline]
     pub fn num_sets(&self) -> u64 {
         self.num_lines() / self.associativity as u64
-    }
-
-    /// The line-aligned address containing `addr`.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_size - 1)
     }
 
     /// The set index of `addr`.
@@ -153,7 +149,6 @@ mod tests {
     fn line_and_set_mapping() {
         let c = CacheConfig::new(1024, 64, 2, 1);
         assert_eq!(c.num_sets(), 8);
-        assert_eq!(c.line_of(130), 128);
         assert_eq!(c.set_of(0), 0);
         assert_eq!(c.set_of(64), 1);
         assert_eq!(c.set_of(64 * 8), 0); // wraps around the sets

@@ -8,7 +8,7 @@
 //!   configurations plus the Fig. 4 / Fig. 5 sensitivity overrides;
 //! * [`area`] — the ITRS-style area/latency model that derives those design
 //!   points from a 240 mm² die budget;
-//! * [`simulate`] / [`simulate_with`] — the event-driven, trace-based CMP
+//! * [`simulate`] — the event-driven, trace-based CMP
 //!   simulator (in-order cores, private L1s, shared L2, bounded off-chip
 //!   bandwidth) driven by any [`ccs_sched::Scheduler`];
 //! * [`SimEngine`] / [`simulate_engine`] — engine selection: the fast
@@ -87,5 +87,7 @@ mod reference;
 pub use area::Technology;
 pub use batch::{simulate_batch, BatchRun};
 pub use config::CmpConfig;
-pub use machine::{simulate, simulate_engine, simulate_with, simulate_with_engine, SimEngine};
+pub use machine::{
+    simulate, simulate_engine, simulate_with_engine, SimEngine, MAX_DIRECTORY_CORES,
+};
 pub use metrics::SimResult;

@@ -188,6 +188,11 @@ enum Phase {
     MemFill { id: u32, is_write: bool },
 }
 
+/// The widest machine the hierarchical sharer mask covers: one 64-bit
+/// summary word over 64 core words.  Wider machines broadcast every store
+/// to all other L1s instead.
+pub const MAX_DIRECTORY_CORES: usize = 64 * 64;
+
 /// The event engine's sharer-tracking structure, picked by core count (see
 /// DESIGN.md §8 and §12).  All variants maintain the same one-directional
 /// invariant — core `c`'s L1 holds a line ⇒ the line's mask has `c`'s bit —
@@ -199,8 +204,8 @@ enum Directory {
     Single,
     /// 2–64 cores: one sharer word per line id, indexed flat.
     Flat(Vec<u64>),
-    /// 65–[`ccs_cache::directory::MAX_DIRECTORY_CORES`] cores: per line id,
-    /// a *summary word* (bit `w` = "core word `w` is non-zero") followed by
+    /// 65–[`MAX_DIRECTORY_CORES`] cores: per line id, a *summary word*
+    /// (bit `w` = "core word `w` is non-zero") followed by
     /// `ceil(p/64)` core words.  A store walks only the set summary bits
     /// and the set core bits, keeping invalidation `O(sharers)` instead of
     /// the former `O(p)` broadcast.
@@ -366,17 +371,7 @@ pub fn simulate_engine(
 }
 
 /// Run `comp` (with its pre-built `dag`) under an externally constructed
-/// scheduler, using the default (event-driven) engine.
-pub fn simulate_with(
-    comp: &Computation,
-    dag: &Dag,
-    config: &CmpConfig,
-    sched: &mut dyn Scheduler,
-) -> SimResult {
-    simulate_with_engine(comp, dag, config, sched, SimEngine::default())
-}
-
-/// [`simulate_with`], with an explicit engine choice.
+/// scheduler, on the chosen engine.
 pub fn simulate_with_engine(
     comp: &Computation,
     dag: &Dag,
@@ -557,7 +552,7 @@ fn event_loop<R: Record, const HAS_L3: bool>(
         Directory::Single
     } else if p <= 64 {
         Directory::Flat(vec![0u64; stream.num_lines()])
-    } else if p <= ccs_cache::directory::MAX_DIRECTORY_CORES {
+    } else if p <= MAX_DIRECTORY_CORES {
         let stride = 1 + p.div_ceil(64);
         Directory::Hier {
             stride,
@@ -1446,7 +1441,7 @@ mod tests {
     /// result.
     #[test]
     fn event_queue_keys_the_widest_machine() {
-        let wide = ccs_cache::directory::MAX_DIRECTORY_CORES + 1;
+        let wide = MAX_DIRECTORY_CORES + 1;
         let mut q = EventQueue::new(wide);
         q.push(q.max_time(), wide - 1);
         q.push(q.max_time(), 0);

@@ -4,9 +4,10 @@
 //! executable specification of the machine model: every micro-step of
 //! every core goes through the event heap (one push + one pop per step),
 //! stores broadcast their invalidation to every other private L1, and the
-//! caches use the seed's storage ([`RefCache`]: one `Vec` of ways per set,
-//! division-based set indexing) rather than the optimised flat layout in
-//! `ccs-cache`.
+//! caches are the seed's [`RefCache`] (one `Vec` of ways per set,
+//! timestamp LRU, division-based set indexing) — the set-associative spec
+//! the production `CompiledCache` is checked against — rather than the
+//! optimised flat layout the event engine probes.
 //!
 //! Traces reach this module through a *thin adapter*: the computation's
 //! pooled trace arena is materialised back into one owned
@@ -32,139 +33,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ccs_cache::{AccessOutcome, CacheConfig, CacheStats, MainMemory};
+use ccs_cache::{MainMemory, RefCache};
 use ccs_dag::{AccessKind, Computation, Dag, TaskId};
 use ccs_sched::Scheduler;
 
 use crate::config::CmpConfig;
 use crate::metrics::SimResult;
-
-/// The seed's set-associative cache, retained verbatim: per-set `Vec`s of
-/// ways, true-LRU via a monotonic clock, write-back/write-allocate.  Hit,
-/// miss, eviction and write-back decisions are definitionally identical to
-/// [`ccs_cache::SetAssocCache`] (pinned by the engine-equivalence tests).
-struct RefCache {
-    config: CacheConfig,
-    sets: Vec<Vec<RefWay>>,
-    stats: CacheStats,
-    clock: u64,
-}
-
-#[derive(Clone, Copy)]
-struct RefWay {
-    line: u64,
-    dirty: bool,
-    /// Monotonic timestamp of the last access; smallest = LRU victim.
-    last_used: u64,
-}
-
-impl RefCache {
-    fn new(config: CacheConfig) -> Self {
-        config.validate().expect("invalid cache configuration");
-        let sets =
-            vec![Vec::with_capacity(config.associativity as usize); config.num_sets() as usize];
-        RefCache {
-            config,
-            sets,
-            stats: CacheStats::default(),
-            clock: 0,
-        }
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn access_line(&mut self, line: u64, kind: AccessKind) -> AccessOutcome {
-        debug_assert_eq!(
-            line % self.config.line_size,
-            0,
-            "address must be line-aligned"
-        );
-        self.clock += 1;
-        let clock = self.clock;
-        let is_write = kind.is_write();
-        let set_idx = self.config.set_of(line) as usize;
-        let assoc = self.config.associativity as usize;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(way) = set.iter_mut().find(|w| w.line == line) {
-            way.last_used = clock;
-            way.dirty |= is_write;
-            self.stats.record(true, is_write);
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-                writeback: false,
-            };
-        }
-
-        // Miss: allocate, evicting the LRU way if the set is full.
-        self.stats.record(false, is_write);
-        let mut outcome = AccessOutcome {
-            hit: false,
-            evicted: None,
-            writeback: false,
-        };
-        if set.len() == assoc {
-            let victim_idx = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let victim = set.swap_remove(victim_idx);
-            self.stats.record_eviction(victim.dirty);
-            outcome.evicted = Some(victim.line);
-            outcome.writeback = victim.dirty;
-        }
-        set.push(RefWay {
-            line,
-            dirty: is_write,
-            last_used: clock,
-        });
-        outcome
-    }
-
-    fn fill_line(&mut self, line: u64, dirty: bool) {
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.config.set_of(line) as usize;
-        let assoc = self.config.associativity as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.line == line) {
-            way.last_used = clock;
-            way.dirty |= dirty;
-            return;
-        }
-        if set.len() == assoc {
-            let victim_idx = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let victim = set.swap_remove(victim_idx);
-            self.stats.record_eviction(victim.dirty);
-        }
-        set.push(RefWay {
-            line,
-            dirty,
-            last_used: clock,
-        });
-    }
-
-    fn invalidate_line(&mut self, line: u64) -> bool {
-        let set_idx = self.config.set_of(line) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|w| w.line == line) {
-            let way = set.swap_remove(pos);
-            way.dirty
-        } else {
-            false
-        }
-    }
-}
 
 /// What a core is currently doing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -95,7 +95,7 @@ proptest! {
 /// fallback, exercised with 65 cores — one past the 64-bit mask).
 #[test]
 fn engines_agree_across_seeds_schedulers_and_cores() {
-    use ccs_cache::directory::MAX_DIRECTORY_CORES;
+    use ccs_sim::MAX_DIRECTORY_CORES;
 
     let params = synth_params();
     let wide = MAX_DIRECTORY_CORES + 1;
@@ -123,8 +123,8 @@ fn engines_agree_across_seeds_schedulers_and_cores() {
 /// machine wider than the directory supports.
 #[test]
 fn broadcast_fallback_matches_reference_past_directory_width() {
-    use ccs_cache::directory::MAX_DIRECTORY_CORES;
     use ccs_dag::{AddressSpace, ComputationBuilder, GroupMeta};
+    use ccs_sim::MAX_DIRECTORY_CORES;
 
     let mut b = ComputationBuilder::new(128);
     let mut space = AddressSpace::new();

@@ -14,10 +14,9 @@
 //! that member must again be byte-identical — replayed at one core, via
 //! the fallback everywhere else.
 
-use ccs_cache::directory::MAX_DIRECTORY_CORES;
 use ccs_dag::Dag;
 use ccs_sched::SchedulerSpec;
-use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine};
+use ccs_sim::{simulate_batch, simulate_engine, CmpConfig, SimEngine, MAX_DIRECTORY_CORES};
 use ccs_workloads::{BuildCtx, WorkloadRegistry};
 
 /// A small CMP whose caches stay fixed while the core count sweeps the
